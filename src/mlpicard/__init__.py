@@ -7,17 +7,14 @@ from .analysis import (MissingBoundsError, OracleUnavailableError, RunStats,
                        TheoremBound, TheoremNotApplicableError,
                        deterministic_picard, run_replications, theorem_bound)
 from .mlp import (CostCounters, Estimate, InvalidTimeError, MlpConfig,
-                  PairEstimate, estimate, estimate_modified,
-                  estimate_original, paired_recursion)
+                  PairEstimate, estimate, paired_recursion)
 from .problems import (AnalyticSolution, BsdeProblem, ProblemBounds,
                        ValidationEntry, builtin_problems, make_problem,
                        pde_residual, problem_names, validate_assumptions)
 from .quadrature import (DegenerateIntervalError, InvalidOrderError,
                          NonFiniteIntegrandError, QuadratureRule, build_rule,
                          integrate, legendre_roots, quadrature_error_bound)
-from .sampling import (GaussianIncrement, GaussianStream,
-                       InvalidVarianceError, StreamKey, child_key,
-                       draw_increment)
+from .sampling import StreamKey, child_key
 
 __version__ = "0.1.0"
 
@@ -27,11 +24,8 @@ __all__ = [
     "CostCounters",
     "DegenerateIntervalError",
     "Estimate",
-    "GaussianIncrement",
-    "GaussianStream",
     "InvalidOrderError",
     "InvalidTimeError",
-    "InvalidVarianceError",
     "MissingBoundsError",
     "MlpConfig",
     "NonFiniteIntegrandError",
@@ -48,10 +42,7 @@ __all__ = [
     "build_rule",
     "child_key",
     "deterministic_picard",
-    "draw_increment",
     "estimate",
-    "estimate_modified",
-    "estimate_original",
     "integrate",
     "legendre_roots",
     "make_problem",

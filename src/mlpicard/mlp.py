@@ -49,13 +49,14 @@ thread count or batch chunking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .problems import BsdeProblem
-from .quadrature import MAX_ORDER, build_rule
+from .quadrature import (MAX_ORDER, NonFiniteIntegrandError, build_rule,
+                         legendre_roots)
 from .sampling import StreamKey, child_digests, normal_block
 
 MAX_DEPTH = 10
@@ -69,7 +70,8 @@ _CHUNK_VALUES = 1 << 22  # cap on Gaussian values materialized at once
 
 
 class InvalidTimeError(ValueError):
-    """Query time outside [0, horizon)."""
+    """Query time outside [0, horizon), or a recursion tree whose narrowest
+    time interval is not above SINGULARITY_FLOOR."""
 
 
 @dataclass(frozen=True)
@@ -106,20 +108,11 @@ class CostCounters:
     cache_hits: int = 0
 
     def __add__(self, other: "CostCounters") -> "CostCounters":
-        return CostCounters(
-            self.generator_evals + other.generator_evals,
-            self.terminal_evals + other.terminal_evals,
-            self.gaussian_draws + other.gaussian_draws,
-            self.cache_hits + other.cache_hits,
-        )
+        return CostCounters(*(a + b for a, b in zip(astuple(self),
+                                                     astuple(other))))
 
     def as_dict(self) -> dict:
-        return {
-            "generator_evals": self.generator_evals,
-            "terminal_evals": self.terminal_evals,
-            "gaussian_draws": self.gaussian_draws,
-            "cache_hits": self.cache_hits,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -170,14 +163,64 @@ class _Ctx:
         self.groups = groups
 
 
-def _group_sum(ctx: _Ctx, values: np.ndarray) -> np.ndarray:
-    # rows stay contiguous per top-level replication throughout the tree
-    return values.reshape(ctx.groups, -1).sum(axis=1)
-
-
 def _zeros_result(B: int, d: int, need_z: bool) -> _FrameResult:
     z = np.zeros((B, d)) if need_z else None
     return _FrameResult(np.zeros(B), z, None, None)
+
+
+def _check_interval(length: float) -> None:
+    if not length > SINGULARITY_FLOOR:
+        raise InvalidTimeError(f"time interval {length!r} is not above "
+                               f"the singularity floor {SINGULARITY_FLOOR}")
+
+
+def _nodes(ctx: _Ctx, s: float) -> list:
+    """Quadrature nodes on [s, T] as (j, t_j, w_j, t_j - s) tuples."""
+    _check_interval(ctx.horizon - s)
+    rule = build_rule(ctx.Q, s, ctx.horizon)
+    nodes = []
+    for j in range(ctx.Q):
+        t_j = float(rule.nodes[j])
+        _check_interval(t_j - s)
+        nodes.append((j, t_j, float(rule.weights[j]), t_j - s))
+    return nodes
+
+
+def _displace(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, off: int, m: int,
+              dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """m increments over dt per row from counters [off, off + m d), and the
+    displaced points as (B m, d) rows."""
+    B, d = dig.size, ctx.d
+    wv = normal_block(dig, off, m * d).reshape(B, m, d)
+    wv *= math.sqrt(dt)
+    ctx.counters.gaussian_draws += B * m
+    return wv, (xs[:, None, :] + wv).reshape(B * m, d)
+
+
+def _correct(ctx: _Ctx, node: tuple, wv: np.ndarray, a: tuple, b: tuple,
+             y: np.ndarray, z: Optional[np.ndarray], record: bool = True):
+    """Add the correction w_j mean(f(a) - f(b)) at one quadrature node.
+
+    a and b are the (y, z) minuend and subtrahend values at the displaced
+    points (z None: the generator sees zeros); the displacing increments
+    wv double as the z kernel weights.  Returns the updated (y, z).
+    """
+    _, t_j, w_j, dt = node
+    B, m, d = wv.shape
+    zero_z = np.zeros((B * m, d))
+    fa, fb = (np.asarray(ctx.problem.generator(
+        t_j, yv, zv if zv is not None else zero_z), dtype=np.float64)
+        for yv, zv in (a, b))
+    ctx.counters.generator_evals += 2 * B * m
+    delta = fa - fb
+    if record:
+        # rows stay contiguous per top-level replication throughout the tree
+        ctx.diff += np.abs((w_j / m) * delta).reshape(ctx.groups, -1).sum(axis=1)
+    dmat = delta.reshape(B, m)
+    y = y + w_j * dmat.mean(axis=1)
+    if z is not None:
+        z = z + (w_j / dt) * (dmat[:, :, None] * wv).mean(axis=1)
+    return y, z
 
 
 def _leaf_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
@@ -190,9 +233,8 @@ def _leaf_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
     """
     B = dig.size
     M, d = ctx.M, ctx.d
+    nodes = _nodes(ctx, s)
     tau = ctx.horizon - s
-    assert tau > SINGULARITY_FLOOR
-    rule = build_rule(ctx.Q, s, ctx.horizon)
     sq = math.sqrt(tau)
 
     y = np.empty(B)
@@ -211,11 +253,7 @@ def _leaf_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
 
     zero_y = np.zeros(B)
     zero_z = np.zeros((B, d))
-    for j in range(ctx.Q):
-        t_j = float(rule.nodes[j])
-        w_j = float(rule.weights[j])
-        dt = t_j - s
-        assert dt > SINGULARITY_FLOOR
+    for j, t_j, w_j, dt in nodes:
         f0 = np.asarray(ctx.problem.generator(t_j, zero_y, zero_z), dtype=np.float64)
         ctx.counters.generator_evals += B
         y += w_j * f0
@@ -250,7 +288,7 @@ def _modified_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
                                z_prev=np.zeros((B, d)) if need_z else None)
         return res
 
-    rule = build_rule(ctx.Q, s, ctx.horizon)
+    nodes = _nodes(ctx, s)
     reps = np.arange(M)
 
     spine_dig = child_digests(dig, k - 1, _SPINE_SLOT, reps).reshape(-1)
@@ -265,7 +303,6 @@ def _modified_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
         z_mat = spine.z.reshape(B, M, d)
         if ctx.cfg.strict_printed_form:
             tau = ctx.horizon - s
-            assert tau > SINGULARITY_FLOOR
             wt = normal_block(dig, ctx.Q * M * d, M * d).reshape(B, M, d)
             wt *= math.sqrt(tau)
             ctx.counters.gaussian_draws += B * M
@@ -275,29 +312,17 @@ def _modified_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
         if need_pair:
             z_prev = z_mat[:, 0].copy()
 
-    zero_z = np.zeros((B * M, d))
-    for j in range(ctx.Q):
-        t_j = float(rule.nodes[j])
-        w_j = float(rule.weights[j])
-        dt = t_j - s
-        assert dt > SINGULARITY_FLOOR
-        wv = normal_block(dig, j * M * d, M * d).reshape(B, M, d)
-        wv *= math.sqrt(dt)
-        ctx.counters.gaussian_draws += B * M
-        pts = (xs[:, None, :] + wv).reshape(B * M, d)
+    for node in nodes:
+        j, t_j, _, dt = node
+        wv, pts = _displace(ctx, dig, xs, j * M * d, M, dt)
         pt_dig = child_digests(dig, k - 1, _POINT_SLOT + j, reps).reshape(-1)
-
-        if k == 2:
-            # the subtrahend argument is the known depth-0 value
-            sub = _modified_frame(ctx, pt_dig, pts, t_j, 1,
-                                  ctx.uses_z, False, record)
-            ya, za = sub.y, sub.z
-            yb, zb = np.zeros(B * M), None
-        elif ctx.cfg.cache:
-            sub = _modified_frame(ctx, pt_dig, pts, t_j, k - 1,
-                                  ctx.uses_z, True, record)
-            ya, za, yb, zb = sub.y, sub.z, sub.y_prev, sub.z_prev
-            ctx.counters.cache_hits += B * M
+        if k == 2 or ctx.cfg.cache:
+            # one traversal yields both arguments; at k = 2 the subtrahend
+            # is the known depth-0 value, so nothing is reused
+            pair = _modified_frame(ctx, pt_dig, pts, t_j, k - 1,
+                                   ctx.uses_z, True, record)
+            if k > 2:
+                ctx.counters.cache_hits += B * M
         else:
             # cache off: run the identical traversal a second time and read
             # the subtrahend out of the replay; values match bit for bit
@@ -305,27 +330,14 @@ def _modified_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
                                     ctx.uses_z, False, record)
             replay = _modified_frame(ctx, pt_dig, pts, t_j, k - 1,
                                      ctx.uses_z, True, False)
-            ya, za = first.y, first.z
-            yb, zb = replay.y_prev, replay.z_prev
-
-        fa = np.asarray(ctx.problem.generator(
-            t_j, ya, za if za is not None else zero_z), dtype=np.float64)
-        fb = np.asarray(ctx.problem.generator(
-            t_j, yb, zb if zb is not None else zero_z), dtype=np.float64)
-        ctx.counters.generator_evals += 2 * B * M
-        delta = fa - fb
-        if record:
-            ctx.diff += _group_sum(ctx, np.abs((w_j / M) * delta))
-        dmat = delta.reshape(B, M)
-        y = y + w_j * dmat.mean(axis=1)
-        if need_z:
-            z = z + (w_j / dt) * (dmat[:, :, None] * wv).mean(axis=1)
+            pair = first._replace(y_prev=replay.y_prev, z_prev=replay.z_prev)
+        y, z = _correct(ctx, node, wv, pair[:2], pair[2:], y, z, record)
     return _FrameResult(y, z, y_prev, z_prev)
 
 
 def _original_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
-                    n: int, need_z: bool, record: bool) -> _FrameResult:
-    """Original-scheme frame at depth n for a batch of rows.
+                    n: int, need_z: bool) -> _FrameResult:
+    """Original-scheme frame at depth n >= 1 for a batch of rows.
 
     Stream layout per key: counters [0, M^n d) hold the terminal
     increments; for level l in 1..n-1 and node j the displacing increments
@@ -336,14 +348,11 @@ def _original_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
     """
     B = dig.size
     M, d = ctx.M, ctx.d
-    if n == 0:
-        return _zeros_result(B, d, need_z)
     if n == 1:
         return _leaf_frame(ctx, dig, xs, s, need_z)
 
-    rule = build_rule(ctx.Q, s, ctx.horizon)
+    nodes = _nodes(ctx, s)
     tau = ctx.horizon - s
-    assert tau > SINGULARITY_FLOOR
     m_top = M ** n
 
     acc = np.zeros(B)
@@ -376,11 +385,7 @@ def _original_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
 
     zero_y = np.zeros(B)
     zero_zB = np.zeros((B, d))
-    for j in range(ctx.Q):
-        t_j = float(rule.nodes[j])
-        w_j = float(rule.weights[j])
-        dt = t_j - s
-        assert dt > SINGULARITY_FLOOR
+    for j, t_j, w_j, dt in nodes:
         f0 = np.asarray(ctx.problem.generator(t_j, zero_y, zero_zB),
                         dtype=np.float64)
         ctx.counters.generator_evals += B
@@ -398,40 +403,19 @@ def _original_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
     for l in range(1, n):
         m_l = M ** (n - l)
         reps = np.arange(m_l)
-        for j in range(ctx.Q):
-            t_j = float(rule.nodes[j])
-            w_j = float(rule.weights[j])
-            dt = t_j - s
-            assert dt > SINGULARITY_FLOOR
-            wv = normal_block(dig, level_base[l] + j * m_l * d,
-                              m_l * d).reshape(B, m_l, d)
-            wv *= math.sqrt(dt)
-            ctx.counters.gaussian_draws += B * m_l
-            pts = (xs[:, None, :] + wv).reshape(B * m_l, d)
+        for node in nodes:
+            j, t_j, _, dt = node
+            wv, pts = _displace(ctx, dig, xs, level_base[l] + j * m_l * d,
+                                m_l, dt)
             dig_a = child_digests(dig, l, _MINUEND_SLOT + 2 * j, reps).reshape(-1)
-            sub_a = _original_frame(ctx, dig_a, pts, t_j, l, ctx.uses_z, record)
+            sub_a = _original_frame(ctx, dig_a, pts, t_j, l, ctx.uses_z)
             if l >= 2:
                 dig_b = child_digests(dig, l, _SUBTRAHEND_SLOT + 2 * j,
                                       reps).reshape(-1)
-                sub_b = _original_frame(ctx, dig_b, pts, t_j, l - 1,
-                                        ctx.uses_z, record)
+                sub_b = _original_frame(ctx, dig_b, pts, t_j, l - 1, ctx.uses_z)
             else:
                 sub_b = _zeros_result(B * m_l, d, ctx.uses_z)
-            zero_zm = np.zeros((B * m_l, d))
-            fa = np.asarray(ctx.problem.generator(
-                t_j, sub_a.y, sub_a.z if sub_a.z is not None else zero_zm),
-                dtype=np.float64)
-            fb = np.asarray(ctx.problem.generator(
-                t_j, sub_b.y, sub_b.z if sub_b.z is not None else zero_zm),
-                dtype=np.float64)
-            ctx.counters.generator_evals += 2 * B * m_l
-            delta = fa - fb
-            if record:
-                ctx.diff += _group_sum(ctx, np.abs((w_j / m_l) * delta))
-            dmat = delta.reshape(B, m_l)
-            y = y + w_j * dmat.mean(axis=1)
-            if need_z:
-                z = z + (w_j / dt) * (dmat[:, :, None] * wv).mean(axis=1)
+            y, z = _correct(ctx, node, wv, sub_a[:2], sub_b[:2], y, z)
     return _FrameResult(y, z, None, None)
 
 
@@ -452,18 +436,36 @@ def _check_time(problem: BsdeProblem, t: float) -> float:
     return t
 
 
+def _check_tree(problem: BsdeProblem, cfg: MlpConfig, t: float,
+                depth: int) -> None:
+    # each frame shrinks the remaining time T - s by at least the factor
+    # r = (1 + c_1)/2 (c_1 the smallest Legendre root), both to its first
+    # node and to the children it spawns there, so the narrowest interval
+    # of a depth-n tree is (T - t) r^n; refuse it before any sampling
+    r = 0.5 * (1.0 + float(legendre_roots(cfg.quad_order)[0]))
+    _check_interval((problem.horizon - t) * r ** depth)
+
+
+def _check_finite(*values: Optional[np.ndarray]) -> None:
+    if not all(v is None or np.isfinite(v).all() for v in values):
+        raise NonFiniteIntegrandError(
+            "estimate is not finite: the terminal condition or the "
+            "generator returned NaN or infinity")
+
+
 def _root_digests(cfg: MlpConfig, key: Optional[StreamKey]) -> np.ndarray:
     root = key if key is not None else StreamKey.from_seed(cfg.seed)
     return np.array([root.digest], dtype=np.uint64)
 
 
 def run_batch(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
-              digests: np.ndarray, record_diff: bool = True):
+              digests: np.ndarray):
     """Evaluate one estimator per digest row; the workhorse behind the
     public entry points.  Returns (y, z or None, counters, diff) where y
     and diff have one entry per row and counters are totals over all rows.
     """
     t = _check_time(problem, t)
+    _check_tree(problem, cfg, t, cfg.depth)
     xv = _prepare_point(problem, x)
     B = digests.size
     ctx = _Ctx(problem, cfg, groups=B)
@@ -473,44 +475,23 @@ def run_batch(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
         res = _zeros_result(B, ctx.d, need_z)
     elif cfg.variant == "modified":
         res = _modified_frame(ctx, digests, xs, t, cfg.depth,
-                              need_z, False, record_diff)
+                              need_z, False, True)
     else:
-        res = _original_frame(ctx, digests, xs, t, cfg.depth,
-                              need_z, record_diff)
+        res = _original_frame(ctx, digests, xs, t, cfg.depth, need_z)
     z = res.z if cfg.estimate_z else None
+    _check_finite(res.y, z)
     return res.y, z, ctx.counters, ctx.diff
 
 
-def _single(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
-            key: Optional[StreamKey]) -> Estimate:
+def estimate(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
+             key: Optional[StreamKey] = None) -> Estimate:
+    """Estimate at (t, x) with the scheme cfg.variant names; key overrides
+    seed derivation."""
     y, z, counters, diff = run_batch(problem, cfg, t, x,
                                      _root_digests(cfg, key))
     zv = z[0].copy() if z is not None else None
     return Estimate(y=float(y[0]), z=zv, cost=counters,
                     diff_accum=float(diff[0]))
-
-
-def estimate_modified(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
-                      key: Optional[StreamKey] = None) -> Estimate:
-    """Modified-scheme estimate at (t, x); key overrides seed derivation."""
-    if cfg.variant != "modified":
-        cfg = MlpConfig(**{**cfg.__dict__, "variant": "modified"})
-    return _single(problem, cfg, t, x, key)
-
-
-def estimate_original(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
-                      key: Optional[StreamKey] = None) -> Estimate:
-    """Original-scheme estimate at (t, x); key overrides seed derivation."""
-    if cfg.variant != "original":
-        cfg = MlpConfig(**{**cfg.__dict__, "variant": "original"})
-    return _single(problem, cfg, t, x, key)
-
-
-def estimate(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
-             key: Optional[StreamKey] = None) -> Estimate:
-    if cfg.variant == "modified":
-        return estimate_modified(problem, cfg, t, x, key)
-    return estimate_original(problem, cfg, t, x, key)
 
 
 def paired_recursion(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
@@ -527,17 +508,19 @@ def paired_recursion(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
     if k < 1 or k > MAX_DEPTH:
         raise ValueError(f"paired depth must lie in 1..{MAX_DEPTH}, got {k}")
     t = _check_time(problem, t)
+    _check_tree(problem, cfg, t, k)
     xv = _prepare_point(problem, x)
     ctx = _Ctx(problem, cfg, groups=1)
     need_z = cfg.estimate_z or ctx.uses_z
     dig = _root_digests(cfg, key)
     res = _modified_frame(ctx, dig, xv[None, :], t, k, need_z, True, True)
-    want_z = cfg.estimate_z
+    z, z_prev = (res.z, res.z_prev) if cfg.estimate_z else (None, None)
+    _check_finite(res.y, res.y_prev, z, z_prev)
     return PairEstimate(
         y=float(res.y[0]),
         y_prev=float(res.y_prev[0]),
-        z=res.z[0].copy() if (want_z and res.z is not None) else None,
-        z_prev=res.z_prev[0].copy() if (want_z and res.z_prev is not None) else None,
+        z=z[0].copy() if z is not None else None,
+        z_prev=z_prev[0].copy() if z_prev is not None else None,
         cost=ctx.counters,
         diff_accum=float(ctx.diff[0]),
     )

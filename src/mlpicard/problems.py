@@ -212,30 +212,19 @@ def pde_residual(problem: BsdeProblem, t: np.ndarray, x: np.ndarray,
     lap = np.zeros_like(t)
     vals = np.empty_like(t)
     grads = np.empty_like(x)
+    fv = np.empty_like(t)
     for i in range(t.size):
         ti = float(t[i])
         xi = x[i]
         vals[i] = ref.u(ti, xi)
         grads[i] = ref.grad_u(ti, xi)
+        fv[i] = problem.generator(ti, vals[i:i + 1], grads[i:i + 1])[0]
         u_t[i] = (ref.u(ti + step, xi) - ref.u(ti - step, xi)) / (2.0 * step)
         for k in range(problem.dim):
             e = np.zeros(problem.dim)
             e[k] = step
             lap[i] += (ref.u(ti, xi + e) - 2.0 * vals[i] + ref.u(ti, xi - e)) / step**2
-    fv = problem.generator(0.0, vals, grads) if _is_autonomous(problem) else None
-    if fv is None:
-        fv = np.array([problem.generator(float(t[i]), vals[i:i + 1], grads[i:i + 1])[0]
-                       for i in range(t.size)])
     return u_t + 0.5 * lap + fv
-
-
-def _is_autonomous(problem: BsdeProblem) -> bool:
-    # builtin generators do not read t; probing twice is cheap insurance
-    probe_y = np.array([0.123, -0.456])
-    probe_z = np.full((2, problem.dim), 0.321)
-    a = problem.generator(0.1, probe_y, probe_z)
-    b = problem.generator(0.9, probe_y, probe_z)
-    return bool(np.array_equal(a, b))
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,6 @@ MAX_REPLICA = 1 << 32
 MAX_PATH_DEPTH = 32
 
 
-class InvalidVarianceError(ValueError):
-    """Requested a Gaussian increment with nonpositive variance."""
-
-
 def _mix64(z: int) -> int:
     # splitmix64 finalizer on a masked python int
     z &= _MASK
@@ -108,51 +104,9 @@ def child_key(key: StreamKey, level: int, replica: int, slot: int) -> StreamKey:
     )
 
 
-def _value_at(digest: int, counter: int) -> int:
-    return _mix64((digest + ((counter + 1) * _GOLD)) & _MASK)
-
-
 def _to_uniform(values: np.ndarray) -> np.ndarray:
     # top 53 bits, centered in the bin: strictly inside (0, 1)
     return ((values >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-
-
-@dataclass(frozen=True)
-class GaussianIncrement:
-    """One d-dimensional Brownian increment over a time step dt."""
-
-    dt: float
-    values: np.ndarray
-
-
-class GaussianStream:
-    """Sequential reader over a key's counter-indexed sample sequence."""
-
-    def __init__(self, key: StreamKey, position: int = 0):
-        self.key = key
-        self.position = position
-
-    def uniforms(self, count: int) -> np.ndarray:
-        out = uniform_block(np.array([self.key.digest], dtype=np.uint64),
-                            self.position, count)[0]
-        self.position += count
-        return out
-
-    def normals(self, count: int) -> np.ndarray:
-        return ndtri(self.uniforms(count))
-
-    def draw(self, dim: int, dt: float) -> GaussianIncrement:
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not dt > 0.0:
-            raise InvalidVarianceError(f"dt must be positive, got {dt}")
-        values = np.sqrt(dt) * self.normals(dim)
-        return GaussianIncrement(dt=float(dt), values=values)
-
-
-def draw_increment(key: StreamKey, dim: int, dt: float) -> GaussianIncrement:
-    """Draw the increment at stream position 0; pure in (key, dim, dt)."""
-    return GaussianStream(key).draw(dim, dt)
 
 
 def child_digests(digests: np.ndarray, level: int, slot: int,

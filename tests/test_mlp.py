@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from mlpicard import (CostCounters, Estimate, InvalidTimeError, MlpConfig,
-                      estimate, estimate_modified, estimate_original,
-                      make_problem, paired_recursion)
+                      NonFiniteIntegrandError, estimate, make_problem,
+                      paired_recursion)
+from mlpicard import mlp
 from mlpicard.mlp import MAX_DEPTH, REPLICATION_LEVEL, run_batch
 from mlpicard.sampling import StreamKey, child_digests, child_key
 
@@ -115,10 +117,10 @@ def test_depth_one_variants_bit_equal():
     # the same f(t_j, 0, 0) quadrature, on the same streams
     for d in (1, 4):
         p = make_problem("linear-y", dim=d, alpha=0.9)
-        a = estimate_modified(p, cfg_for("modified", 1, 5, 3,
-                                         estimate_z=True, seed=9), 0.2, 0.3)
-        b = estimate_original(p, cfg_for("original", 1, 5, 3,
-                                         estimate_z=True, seed=9), 0.2, 0.3)
+        a = estimate(p, cfg_for("modified", 1, 5, 3,
+                                estimate_z=True, seed=9), 0.2, 0.3)
+        b = estimate(p, cfg_for("original", 1, 5, 3,
+                                estimate_z=True, seed=9), 0.2, 0.3)
         assert a.y == b.y
         assert np.array_equal(a.z, b.z)
 
@@ -173,15 +175,14 @@ def test_paired_recursion_replays_exactly():
     p = make_problem("bounded-nonlinear")
     cfg = cfg_for("modified", 3, 3, 2, seed=13, estimate_z=True)
     pair = paired_recursion(p, cfg, 0.0, 0.4)
-    full = estimate_modified(p, cfg, 0.0, 0.4)
+    full = estimate(p, cfg, 0.0, 0.4)
     assert pair.y == full.y
     assert np.array_equal(pair.z, full.z)
     # the pair's second component is the first spine copy, replayable by key
     root = StreamKey.from_seed(13)
     prev_cfg = cfg_for("modified", 2, 3, 2, seed=13, estimate_z=True)
-    replay = estimate_modified(p, prev_cfg, 0.0, 0.4,
-                               key=child_key(root, level=2, replica=0,
-                                             slot=0))
+    replay = estimate(p, prev_cfg, 0.0, 0.4,
+                      key=child_key(root, level=2, replica=0, slot=0))
     assert pair.y_prev == replay.y
     assert np.array_equal(pair.z_prev, replay.z)
 
@@ -252,6 +253,50 @@ def test_invalid_time_rejected():
         paired_recursion(p, cfg, 2.0, 0.0)
 
 
+def test_query_next_to_horizon_rejected():
+    p = make_problem("linear-y")
+    for variant in ("modified", "original"):
+        with pytest.raises(InvalidTimeError):
+            estimate(p, cfg_for(variant, 2), 1.0 - 1e-13, 0.0)
+    with pytest.raises(InvalidTimeError):
+        paired_recursion(p, cfg_for("modified", 2), 1.0 - 1e-13, 0.0)
+
+
+def test_tree_below_singularity_floor_rejected_before_sampling(monkeypatch):
+    # Q = 64 puts the first node 3.5e-4 (T - s) after s, so a depth-4 tree
+    # reaches an interval of 1.5e-14; the refusal comes before any work
+    p = make_problem("linear-y")
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before the tree was checked")
+
+    monkeypatch.setattr(mlp, "normal_block", no_sampling)
+    for variant in ("modified", "original"):
+        cfg = MlpConfig(variant, depth=4, base_samples=1, quad_order=64)
+        with pytest.raises(InvalidTimeError):
+            estimate(p, cfg, 0.0, 0.0)
+    with pytest.raises(InvalidTimeError):
+        paired_recursion(p, MlpConfig("modified", 4, 1, 64), 0.0, 0.0)
+    monkeypatch.undo()
+    # the bound is tight: a depth-1 tree spans 3.5e-4 (T - t), which is
+    # 3.5e-12 at t = T - 1e-8 and 7e-13 at t = T - 2e-9
+    leaf = MlpConfig("modified", depth=1, base_samples=1, quad_order=64)
+    assert math.isfinite(estimate(p, leaf, 1.0 - 1e-8, 0.0).y)
+    with pytest.raises(InvalidTimeError):
+        estimate(p, leaf, 1.0 - 2e-9, 0.0)
+
+
+def test_non_finite_generator_raises():
+    base = make_problem("linear-y", dim=2)
+    p = dataclasses.replace(
+        base, generator=lambda t, y, z: np.full(np.shape(y), np.nan))
+    for variant in ("modified", "original"):
+        with pytest.raises(NonFiniteIntegrandError):
+            estimate(p, cfg_for(variant, 2, estimate_z=True), 0.0, 0.0)
+    with pytest.raises(NonFiniteIntegrandError):
+        paired_recursion(p, cfg_for("modified", 2), 0.0, 0.0)
+
+
 def test_interior_start_time():
     p = make_problem("linear-y", horizon=2.0, alpha=0.4)
     est = estimate(p, cfg_for("modified", 2, 20, 4, seed=8), 1.5, 0.0)
@@ -284,16 +329,6 @@ def test_point_validation():
     assert scalar.y == vector.y
     with pytest.raises(ValueError):
         estimate(p, cfg, 0.0, np.zeros(2))
-
-
-def test_entry_point_coercion_and_dispatch():
-    p = make_problem("bounded-nonlinear")
-    cfg_orig = cfg_for("original", 2, seed=3)
-    cfg_mod = cfg_for("modified", 2, seed=3)
-    assert estimate_modified(p, cfg_orig, 0.0, 0.0).y == \
-        estimate_modified(p, cfg_mod, 0.0, 0.0).y
-    assert estimate(p, cfg_orig, 0.0, 0.0).y == \
-        estimate_original(p, cfg_orig, 0.0, 0.0).y
 
 
 def test_run_batch_rows_match_single_runs():

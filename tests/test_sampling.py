@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from mlpicard.sampling import (GaussianStream, InvalidVarianceError,
-                               MAX_LEVEL, MAX_PATH_DEPTH, MAX_REPLICA,
+from mlpicard.sampling import (MAX_LEVEL, MAX_PATH_DEPTH, MAX_REPLICA,
                                MAX_SLOT, StreamKey, child_digests, child_key,
-                               draw_increment, normal_block, uniform_block,
-                               _mix64, _mix64_u64)
+                               normal_block, uniform_block, _mix64,
+                               _mix64_u64)
+
+
+def _row(key):
+    return np.array([key.digest], dtype=np.uint64)
 
 
 def test_root_key_deterministic():
@@ -86,40 +89,17 @@ def test_child_digests_injective_over_grid():
 
 
 def test_stream_reads_are_positional_and_pure():
-    key = child_key(StreamKey.from_seed(3), 1, 2, 3)
-    s1 = GaussianStream(key)
-    first = s1.uniforms(5)
-    second = s1.uniforms(5)
-    block = uniform_block(np.array([key.digest], dtype=np.uint64), 0, 10)[0]
+    dig = _row(child_key(StreamKey.from_seed(3), 1, 2, 3))
+    first = uniform_block(dig, 0, 5)[0]
+    second = uniform_block(dig, 5, 5)[0]
+    block = uniform_block(dig, 0, 10)[0]
     assert np.array_equal(np.concatenate([first, second]), block)
-    # a fresh stream at an offset reproduces the tail
-    s2 = GaussianStream(key, position=5)
-    assert np.array_equal(s2.uniforms(5), second)
-
-
-def test_draw_increment_pure_and_prefix_consistent():
-    key = child_key(StreamKey.from_seed(11), 0, 0, 1)
-    a = draw_increment(key, 3, 0.5)
-    b = draw_increment(key, 3, 0.5)
-    assert np.array_equal(a.values, b.values)
-    assert a.dt == 0.5
-    shorter = draw_increment(key, 2, 0.5)
-    assert np.array_equal(a.values[:2], shorter.values)
-
-
-def test_draw_increment_validation():
-    key = StreamKey.from_seed(0)
-    with pytest.raises(InvalidVarianceError):
-        draw_increment(key, 1, 0.0)
-    with pytest.raises(InvalidVarianceError):
-        draw_increment(key, 1, -1.0)
-    with pytest.raises(ValueError):
-        draw_increment(key, 0, 1.0)
+    # rereading a window reproduces it
+    assert np.array_equal(uniform_block(dig, 5, 5)[0], second)
 
 
 def test_uniforms_strictly_inside_unit_interval():
-    key = StreamKey.from_seed(42)
-    u = GaussianStream(key).uniforms(100_000)
+    u = uniform_block(_row(StreamKey.from_seed(42)), 0, 100_000)[0]
     assert u.min() > 0.0
     assert u.max() < 1.0
 
@@ -127,15 +107,17 @@ def test_uniforms_strictly_inside_unit_interval():
 def test_normal_moments():
     key = child_key(StreamKey.from_seed(2024), 1, 0, 0)
     n = 1_000_000
-    z = GaussianStream(key).normals(n)
+    z = normal_block(_row(key), 0, n)[0]
     # 4 sigma bands at this sample size
     assert abs(z.mean()) < 4.0 / np.sqrt(n)
     assert abs(z.var() - 1.0) < 4.0 * np.sqrt(2.0 / n)
 
 
 def test_increment_variance_scales_with_dt():
+    # the estimators draw increments over dt as sqrt(dt) times a normal
+    # window at a nonzero counter offset
     key = child_key(StreamKey.from_seed(8), 2, 0, 0)
-    vals = GaussianStream(key).draw(1_000_000, 0.25).values
+    vals = np.sqrt(0.25) * normal_block(_row(key), 3_000, 1_000_000)[0]
     assert abs(vals.var() - 0.25) < 0.002
 
 
@@ -151,7 +133,7 @@ def test_cross_stream_correlations_small():
 
 def test_within_stream_autocorrelation_small():
     key = child_key(StreamKey.from_seed(5150), 3, 1, 0)
-    z = GaussianStream(key).normals(200_000)
+    z = normal_block(_row(key), 0, 200_000)[0]
     for lag in (1, 2, 7):
         c = np.corrcoef(z[:-lag], z[lag:])[0, 1]
         assert abs(c) < 0.01
@@ -160,7 +142,7 @@ def test_within_stream_autocorrelation_small():
 def test_sign_patterns_uniform():
     # chi^2 over the 16 sign patterns of consecutive 4-tuples
     key = child_key(StreamKey.from_seed(99999), 2, 3, 4)
-    bits = (GaussianStream(key).normals(1 << 18) > 0).astype(np.int64)
+    bits = (normal_block(_row(key), 0, 1 << 18)[0] > 0).astype(np.int64)
     quads = bits[: 4 * (bits.size // 4)].reshape(-1, 4)
     cells = quads @ np.array([8, 4, 2, 1])
     counts = np.bincount(cells, minlength=16)
@@ -171,16 +153,22 @@ def test_sign_patterns_uniform():
 
 def test_sibling_streams_differ():
     root = StreamKey.from_seed(1)
-    a = draw_increment(child_key(root, 1, 0, 0), 4, 1.0).values
-    b = draw_increment(child_key(root, 1, 1, 0), 4, 1.0).values
-    c = draw_increment(child_key(root, 1, 0, 1), 4, 1.0).values
+    a = normal_block(_row(child_key(root, 1, 0, 0)), 0, 4)[0]
+    b = normal_block(_row(child_key(root, 1, 1, 0)), 0, 4)[0]
+    c = normal_block(_row(child_key(root, 1, 0, 1)), 0, 4)[0]
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(b, c)
 
 
 def test_normal_block_matches_stream_reader():
-    key = child_key(StreamKey.from_seed(77), 5, 6, 7)
-    batch = normal_block(np.array([key.digest], dtype=np.uint64), 0, 256)[0]
-    seq = GaussianStream(key).normals(256)
-    assert np.array_equal(batch, seq)
+    # one block over a batch of keys equals each key's stream read on its
+    # own, window by window
+    root = StreamKey.from_seed(77)
+    keys = [child_key(root, 5, 6, 7), child_key(root, 5, 7, 7)]
+    batch = normal_block(np.array([k.digest for k in keys], dtype=np.uint64),
+                         0, 256)
+    for row, key in zip(batch, keys):
+        seq = np.concatenate([normal_block(_row(key), off, 64)[0]
+                              for off in range(0, 256, 64)])
+        assert np.array_equal(row, seq)
