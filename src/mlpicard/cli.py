@@ -181,58 +181,54 @@ def _parse_x(raw):
     return raw
 
 
+def _pick(source: dict, key: str, flag, fallback):
+    """source[key] when present, else the flag when given, else fallback."""
+    if key in source:
+        return source[key]
+    return fallback if flag is None else flag
+
+
+def _check_problem(name: str) -> None:
+    if name not in problem_names():
+        raise UnknownProblemError(
+            f"unknown problem {name!r}; known: {', '.join(problem_names())}")
+
+
 def _build_experiment(args, config: Optional[dict]) -> Experiment:
     config = config or {}
     overrides = config.get("overrides", {})
-
-    def pick(key, flag, fallback):
-        if key in config:
-            return config[key]
-        if flag is not None:
-            return flag
-        return fallback
-
-    def pick_override(key, flag, fallback):
-        if key in overrides:
-            return overrides[key]
-        if flag is not None:
-            return flag
-        return fallback
-
-    name = pick("problem", getattr(args, "problem", None), None)
+    flag = vars(args).get
+    name = _pick(config, "problem", flag("problem"), None)
     if name is None:
         raise ConfigError("no problem name given (flag --problem or config)")
-    if name not in problem_names():
-        known = ", ".join(problem_names())
-        raise UnknownProblemError(f"unknown problem {name!r}; known: {known}")
+    _check_problem(name)
 
-    variant_flag = getattr(args, "variant", None)
+    variant_flag = flag("variant")
     if variant_flag == "both":
         variant_flag = ["original", "modified"]
-    cache_flag = None
-    if getattr(args, "no_cache", False):
-        cache_flag = [False]
+    cache_flag = [False] if flag("no_cache") else None
 
     exp = Experiment(
         problem=name,
-        dim=int(pick_override("dim", getattr(args, "dim", None), 1)),
-        horizon=float(pick_override("horizon", getattr(args, "horizon", None), 1.0)),
-        alpha=float(pick_override("alpha", getattr(args, "alpha", None), 0.3)),
-        variants=_as_list(pick("variants", variant_flag, "modified"), str, "variants"),
-        depths=_as_list(pick("depths", getattr(args, "depth", None), 3), int, "depths"),
-        samples=_as_list(pick("samples", getattr(args, "samples", None), 8), int, "samples"),
-        quad_orders=_as_list(pick("quad_orders", getattr(args, "quad_order", None), 4),
+        dim=int(_pick(overrides, "dim", flag("dim"), 1)),
+        horizon=float(_pick(overrides, "horizon", flag("horizon"), 1.0)),
+        alpha=float(_pick(overrides, "alpha", flag("alpha"), 0.3)),
+        variants=_as_list(_pick(config, "variants", variant_flag, "modified"),
+                          str, "variants"),
+        depths=_as_list(_pick(config, "depths", flag("depth"), 3), int, "depths"),
+        samples=_as_list(_pick(config, "samples", flag("samples"), 8), int, "samples"),
+        quad_orders=_as_list(_pick(config, "quad_orders", flag("quad_order"), 4),
                              int, "quad_orders"),
-        cache=_as_list(pick("cache", cache_flag, True), bool, "cache"),
-        t=float(pick("t", getattr(args, "t", None), 0.0)),
-        x=_parse_x(pick("x", _parse_x(getattr(args, "x", None)), 0.0)),
-        replications=int(pick("replications", getattr(args, "replications", None), 16)),
-        seed=int(pick("seed", getattr(args, "seed", None), 0)),
-        estimate_z=bool(pick("estimate_z", getattr(args, "estimate_z", None), False)),
-        strict_printed_form=bool(pick("strict_printed_form",
-                                      getattr(args, "strict_printed_form", None), False)),
-        theorem_bounds=bool(pick("theorem_bounds",
-                                 getattr(args, "theorem_bounds", None), True)),
+        cache=_as_list(_pick(config, "cache", cache_flag, True), bool, "cache"),
+        t=float(_pick(config, "t", flag("t"), 0.0)),
+        x=_parse_x(_pick(config, "x", _parse_x(flag("x")), 0.0)),
+        replications=int(_pick(config, "replications", flag("replications"), 16)),
+        seed=int(_pick(config, "seed", flag("seed"), 0)),
+        estimate_z=bool(_pick(config, "estimate_z", flag("estimate_z"), False)),
+        strict_printed_form=bool(_pick(config, "strict_printed_form",
+                                       flag("strict_printed_form"), False)),
+        theorem_bounds=bool(_pick(config, "theorem_bounds",
+                                  flag("theorem_bounds"), True)),
     )
     for variant in exp.variants:
         if variant not in ("original", "modified"):
@@ -425,11 +421,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    name = args.problem
-    if name not in problem_names():
-        raise UnknownProblemError(
-            f"unknown problem {name!r}; known: {', '.join(problem_names())}")
-    problem = make_problem(name, dim=args.dim, horizon=args.horizon,
+    _check_problem(args.problem)
+    problem = make_problem(args.problem, dim=args.dim, horizon=args.horizon,
                            alpha=args.alpha)
     entries = validate_assumptions(problem, samples=args.samples,
                                    seed=args.seed if args.seed is not None else 0)
@@ -447,11 +440,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    name = args.problem
-    if name not in problem_names():
-        raise UnknownProblemError(
-            f"unknown problem {name!r}; known: {', '.join(problem_names())}")
-    problem = make_problem(name, dim=args.dim, horizon=args.horizon,
+    _check_problem(args.problem)
+    problem = make_problem(args.problem, dim=args.dim, horizon=args.horizon,
                            alpha=args.alpha)
     x = _parse_x(args.x)
     value = deterministic_picard(problem, args.depth, args.quad_order,

@@ -41,14 +41,18 @@ and for the original scheme:
 cache_hits counts reused subtrahend evaluations: hits(k) =
 (M + Q M) hits(k-1) + Q M [k >= 3], so hits > 0 exactly when depth >= 3.
 
-All randomness derives from sampling-module stream keys; every reduction
-is a per-row mean in a fixed order, so results are bit-identical under any
-thread count or batch chunking.
+All randomness derives from sampling-module stream keys.  Every reduction
+runs per row in a fixed order: Monte-Carlo sums go over fixed blocks of
+_ROW_BLOCK samples in counter order, and chunks of at most _CHUNK_VALUES
+values hold whole rows.  Results of both variants are therefore
+bit-identical under any thread count, batch size or chunk budget.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import asdict, astuple, dataclass
 from typing import NamedTuple, Optional
 
@@ -67,6 +71,7 @@ _POINT_SLOT = 1         # modified: slot 1+j for quadrature point j
 _MINUEND_SLOT = 1       # original: slot 1+2j at level l
 _SUBTRAHEND_SLOT = 2    # original: slot 2+2j at level l-1
 _CHUNK_VALUES = 1 << 22  # cap on Gaussian values materialized at once
+_ROW_BLOCK = 1 << 12     # samples per fixed reduction block of one row
 
 
 class InvalidTimeError(ValueError):
@@ -223,33 +228,49 @@ def _correct(ctx: _Ctx, node: tuple, wv: np.ndarray, a: tuple, b: tuple,
     return y, z
 
 
-def _leaf_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
-                need_z: bool) -> _FrameResult:
-    """Depth-1 frame, shared verbatim by both variants.
+def _row_blocks(dig: np.ndarray, off: int, m: int, d: int):
+    """Each row's increments at counters [off, off + m d) as (B, cnt, d)
+    blocks of _ROW_BLOCK samples, in counter order."""
+    for b0 in range(0, m, _ROW_BLOCK):
+        cnt = min(_ROW_BLOCK, m - b0)
+        yield normal_block(dig, off + b0 * d, cnt * d).reshape(dig.size, cnt, d)
 
-    Stream layout per key: counters [0, M d) hold the terminal increments;
-    the kernel increments for quadrature node j live at [(1+j) M d,
-    (2+j) M d), reserved whether or not z is requested.
+
+def _base_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
+                nodes: list, m: int, kernel_off: int,
+                need_z: bool) -> _FrameResult:
+    """Depth-0 Picard term with m samples per row, shared by both variants:
+    the terminal average of phi(x + W_{T-s}) plus sum_j w_j f(t_j, 0, 0),
+    with the z control variate and kernel terms when need_z.
+
+    Stream layout per key: counters [0, m d) hold the terminal increments;
+    the kernel increments for node j live at [kernel_off + j m d,
+    kernel_off + (j+1) m d), reserved whether or not z is requested.
     """
-    B = dig.size
-    M, d = ctx.M, ctx.d
-    nodes = _nodes(ctx, s)
+    B, d = dig.size, ctx.d
     tau = ctx.horizon - s
     sq = math.sqrt(tau)
-
+    phi0 = (np.asarray(ctx.problem.terminal(xs), dtype=np.float64)
+            if need_z else None)
     y = np.empty(B)
     z = np.empty((B, d)) if need_z else None
-    chunk = max(1, _CHUNK_VALUES // (M * d))
-    for lo in range(0, B, chunk):
-        hi = min(B, lo + chunk)
-        w = normal_block(dig[lo:hi], 0, M * d).reshape(hi - lo, M, d) * sq
-        phi = ctx.problem.terminal(xs[lo:hi, None, :] + w)
-        y[lo:hi] = phi.mean(axis=1)
+    # chunks hold whole rows; fold adds a row's block sums in counter order
+    rows = max(1, _CHUNK_VALUES // (min(m, _ROW_BLOCK) * d))
+    chunks = [slice(lo, lo + rows) for lo in range(0, B, rows)]
+    fold = functools.partial(functools.reduce, operator.add)
+    for c in chunks:
+        ys, zs = [], []
+        for w in _row_blocks(dig[c], 0, m, d):
+            w *= sq
+            phi = ctx.problem.terminal(xs[c, None, :] + w)
+            ys.append(phi.sum(axis=1))
+            if need_z:
+                zs.append(((phi - phi0[c, None])[:, :, None] * w).sum(axis=1))
+        y[c] = fold(ys) / m
         if need_z:
-            phi0 = ctx.problem.terminal(xs[lo:hi])
-            z[lo:hi] = ((phi - phi0[:, None])[:, :, None] * w).mean(axis=1) / tau
-    ctx.counters.terminal_evals += B * M + (B if need_z else 0)
-    ctx.counters.gaussian_draws += B * M
+            z[c] = fold(zs) / m / tau
+    ctx.counters.terminal_evals += B * m + (B if need_z else 0)
+    ctx.counters.gaussian_draws += B * m
 
     zero_y = np.zeros(B)
     zero_z = np.zeros((B, d))
@@ -258,13 +279,11 @@ def _leaf_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
         ctx.counters.generator_evals += B
         y += w_j * f0
         if need_z:
-            off = (1 + j) * M * d
-            for lo in range(0, B, chunk):
-                hi = min(B, lo + chunk)
-                wk = normal_block(dig[lo:hi], off, M * d).reshape(hi - lo, M, d)
-                z[lo:hi] += (w_j / dt) * f0[lo:hi, None] * (
-                    wk.mean(axis=1) * math.sqrt(dt))
-            ctx.counters.gaussian_draws += B * M
+            for c in chunks:
+                ksum = fold([wk.sum(axis=1) for wk in _row_blocks(
+                    dig[c], kernel_off + j * m * d, m, d)])
+                z[c] += (w_j / dt) * f0[c, None] * ((ksum / m) * math.sqrt(dt))
+            ctx.counters.gaussian_draws += B * m
     return _FrameResult(y, z, None, None)
 
 
@@ -281,14 +300,14 @@ def _modified_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
     """
     B = dig.size
     M, d = ctx.M, ctx.d
+    nodes = _nodes(ctx, s)
     if k == 1:
-        res = _leaf_frame(ctx, dig, xs, s, need_z)
+        res = _base_frame(ctx, dig, xs, s, nodes, M, M * d, need_z)
         if need_pair:
             res = res._replace(y_prev=np.zeros(B),
                                z_prev=np.zeros((B, d)) if need_z else None)
         return res
 
-    nodes = _nodes(ctx, s)
     reps = np.arange(M)
 
     spine_dig = child_digests(dig, k - 1, _SPINE_SLOT, reps).reshape(-1)
@@ -341,72 +360,26 @@ def _original_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
 
     Stream layout per key: counters [0, M^n d) hold the terminal
     increments; for level l in 1..n-1 and node j the displacing increments
-    occupy a fixed block of M^(n-l) d values; the level-0 kernel increments
-    (M^n d per node, drawn only for z estimates) come last.  Children: the
-    minuend recursion at (level l, node j, sample i) uses slot 1+2j, the
-    independent subtrahend recursion uses slot 2+2j.
+    occupy a fixed block of M^(n-l) d values; the depth-0 kernel increments
+    (M^n d per node) follow the level blocks.  The depth-0 term is
+    _base_frame with M^n samples, summed per row in _ROW_BLOCK blocks.
+    Children: the minuend recursion at (level l, node j, sample i) uses
+    slot 1+2j, the independent subtrahend recursion uses slot 2+2j.
     """
     B = dig.size
     M, d = ctx.M, ctx.d
-    if n == 1:
-        return _leaf_frame(ctx, dig, xs, s, need_z)
-
     nodes = _nodes(ctx, s)
-    tau = ctx.horizon - s
-    m_top = M ** n
-
-    acc = np.zeros(B)
-    accz = np.zeros((B, d)) if need_z else None
-    phi0 = None
-    if need_z:
-        phi0 = np.asarray(ctx.problem.terminal(xs), dtype=np.float64)
-        ctx.counters.terminal_evals += B
-    rchunk = max(1, _CHUNK_VALUES // (B * d))
-    sq = math.sqrt(tau)
-    for r0 in range(0, m_top, rchunk):
-        cnt = min(rchunk, m_top - r0)
-        w = normal_block(dig, r0 * d, cnt * d).reshape(B, cnt, d) * sq
-        phi = ctx.problem.terminal(xs[:, None, :] + w)
-        acc += phi.sum(axis=1)
-        if need_z:
-            accz += ((phi - phi0[:, None])[:, :, None] * w).sum(axis=1)
-    ctx.counters.terminal_evals += B * m_top
-    ctx.counters.gaussian_draws += B * m_top
-    y = acc / m_top
-    z = accz / (m_top * tau) if need_z else None
-
     # fixed counter offsets: terminal block, then level blocks, then kernels
-    level_base = {}
-    off = m_top * d
-    for l in range(1, n):
-        level_base[l] = off
-        off += ctx.Q * (M ** (n - l)) * d
-    kernel_base = off
+    levels_end = (M ** n + ctx.Q * sum(M ** (n - l) for l in range(1, n))) * d
+    y, z = _base_frame(ctx, dig, xs, s, nodes, M ** n, levels_end, need_z)[:2]
 
-    zero_y = np.zeros(B)
-    zero_zB = np.zeros((B, d))
-    for j, t_j, w_j, dt in nodes:
-        f0 = np.asarray(ctx.problem.generator(t_j, zero_y, zero_zB),
-                        dtype=np.float64)
-        ctx.counters.generator_evals += B
-        y = y + w_j * f0
-        if need_z:
-            ksum = np.zeros((B, d))
-            koff = kernel_base + j * m_top * d
-            for r0 in range(0, m_top, rchunk):
-                cnt = min(rchunk, m_top - r0)
-                wk = normal_block(dig, koff + r0 * d, cnt * d).reshape(B, cnt, d)
-                ksum += wk.sum(axis=1)
-            ctx.counters.gaussian_draws += B * m_top
-            z = z + (w_j / dt) * f0[:, None] * (ksum * math.sqrt(dt) / m_top)
-
+    off = M ** n * d
     for l in range(1, n):
         m_l = M ** (n - l)
         reps = np.arange(m_l)
         for node in nodes:
             j, t_j, _, dt = node
-            wv, pts = _displace(ctx, dig, xs, level_base[l] + j * m_l * d,
-                                m_l, dt)
+            wv, pts = _displace(ctx, dig, xs, off + j * m_l * d, m_l, dt)
             dig_a = child_digests(dig, l, _MINUEND_SLOT + 2 * j, reps).reshape(-1)
             sub_a = _original_frame(ctx, dig_a, pts, t_j, l, ctx.uses_z)
             if l >= 2:
@@ -416,6 +389,7 @@ def _original_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
             else:
                 sub_b = _zeros_result(B * m_l, d, ctx.uses_z)
             y, z = _correct(ctx, node, wv, sub_a[:2], sub_b[:2], y, z)
+        off += ctx.Q * m_l * d
     return _FrameResult(y, z, None, None)
 
 

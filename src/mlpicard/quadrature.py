@@ -67,12 +67,16 @@ def _reference_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def legendre_roots(q: int) -> np.ndarray:
-    """Roots of the order-q Legendre polynomial, ascending, exactly symmetric."""
+def _check_order(q) -> None:
     if not isinstance(q, (int, np.integer)) or isinstance(q, bool):
         raise InvalidOrderError(f"order must be an integer, got {q!r}")
     if q < 1 or q > MAX_ORDER:
         raise InvalidOrderError(f"order must lie in 1..{MAX_ORDER}, got {q}")
+
+
+def legendre_roots(q: int) -> np.ndarray:
+    """Roots of the order-q Legendre polynomial, ascending, exactly symmetric."""
+    _check_order(q)
     return _reference_rule(q)[0].copy()
 
 
@@ -132,10 +136,7 @@ def quadrature_error_bound(q: int, a: float, b: float, deriv_bound: float) -> fl
     Evaluated as exp of a log-space sum; underflow rounds to 0.0, overflow
     saturates to inf.  Returns 0.0 on a zero-length interval.
     """
-    if not isinstance(q, (int, np.integer)) or isinstance(q, bool):
-        raise InvalidOrderError(f"order must be an integer, got {q!r}")
-    if q < 1 or q > MAX_ORDER:
-        raise InvalidOrderError(f"order must lie in 1..{MAX_ORDER}, got {q}")
+    _check_order(q)
     a = float(a)
     b = float(b)
     if b < a:

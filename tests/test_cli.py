@@ -114,10 +114,13 @@ def test_no_theorem_bounds_leaves_cells_empty(tmp_path):
 
 
 def test_unknown_problem_exit_code(tmp_path, capsys):
-    rc = main(["solve", "--problem", "equity-basket", "--out",
-               str(tmp_path / "x.csv")])
-    assert rc == EXIT_UNKNOWN_PROBLEM
-    assert "equity-basket" in capsys.readouterr().err
+    for argv in (["solve", "--problem", "equity-basket", "--out",
+                  str(tmp_path / "x.csv")],
+                 ["validate", "--problem", "equity-basket"],
+                 ["oracle", "--problem", "equity-basket", "--depth", "1"]):
+        rc = main(argv)
+        assert rc == EXIT_UNKNOWN_PROBLEM
+        assert "equity-basket" in capsys.readouterr().err
 
 
 def test_sweep_requires_config(capsys):

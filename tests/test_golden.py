@@ -11,8 +11,9 @@ meant to change.
 The grid is variant x estimate_z x cache (modified only) x
 strict_printed_form (modified with z only), over d in {1, 4}, M in {2, 3},
 Q in {1, 3}, depth 0..3 and t in {0, 0.3}, for a z-free and a z-coupled
-problem.  M = 3 matters: there the original frame's terminal/kernel z
-normalisation sum/(M^n tau) and the leaf's mean/tau round differently.
+problem.  M = 3 matters: with M^n not a power of two, the order of the
+divisions in the depth-0 z terms, (sum/M^n)/tau and (sum/M^n) sqrt(dt),
+shows in the last bits.
 """
 
 import itertools

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -331,25 +332,38 @@ def test_point_validation():
         estimate(p, cfg, 0.0, np.zeros(2))
 
 
-def test_run_batch_rows_match_single_runs():
+def test_run_batch_rows_match_single_runs(monkeypatch):
+    # each row sums its samples in fixed blocks of _ROW_BLOCK in counter
+    # order, so neither the batch size nor the chunk budget moves a bit;
+    # _ROW_BLOCK = 2 makes every row span several blocks, and
+    # _CHUNK_VALUES = 1 puts one row in each chunk
     p = make_problem("linear-y", alpha=0.7)
-    for variant in ("modified", "original"):
+    root = np.array([StreamKey.from_seed(19).digest], dtype=np.uint64)
+    digs = child_digests(root, REPLICATION_LEVEL, 0, np.arange(3))[0]
+    for variant, row_block in itertools.product(("modified", "original"),
+                                                (None, 2)):
+        if row_block is not None:
+            monkeypatch.setattr(mlp, "_ROW_BLOCK", row_block)
         cfg = cfg_for(variant, 2, 3, 2, seed=19, estimate_z=True)
-        root = np.array([StreamKey.from_seed(19).digest], dtype=np.uint64)
-        digs = child_digests(root, REPLICATION_LEVEL, 0, np.arange(3))[0]
-        y, z, counters, diff = run_batch(p, cfg, 0.0, 0.3, digs)
-        singles = [estimate(p, cfg, 0.0, 0.3,
-                            key=child_key(StreamKey.from_seed(19),
-                                          REPLICATION_LEVEL, i, 0))
-                   for i in range(3)]
-        assert y.tolist() == [s.y for s in singles]
-        assert diff.tolist() == [s.diff_accum for s in singles]
-        for i, s in enumerate(singles):
-            assert np.array_equal(z[i], s.z)
-        total = CostCounters()
-        for s in singles:
-            total = total + s.cost
-        assert counters == total
+        ref_y, ref_z, _, _ = run_batch(p, cfg, 0.0, 0.3, digs)
+        for chunk in (1 << 22, 1):
+            monkeypatch.setattr(mlp, "_CHUNK_VALUES", chunk)
+            y, z, counters, diff = run_batch(p, cfg, 0.0, 0.3, digs)
+            singles = [estimate(p, cfg, 0.0, 0.3,
+                                key=child_key(StreamKey.from_seed(19),
+                                              REPLICATION_LEVEL, i, 0))
+                       for i in range(3)]
+            assert y.tolist() == ref_y.tolist()
+            assert np.array_equal(z, ref_z)
+            assert y.tolist() == [s.y for s in singles]
+            assert diff.tolist() == [s.diff_accum for s in singles]
+            for i, s in enumerate(singles):
+                assert np.array_equal(z[i], s.z)
+            total = CostCounters()
+            for s in singles:
+                total = total + s.cost
+            assert counters == total
+        monkeypatch.undo()
 
 
 def test_replications_are_distinct():
