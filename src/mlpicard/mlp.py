@@ -43,9 +43,11 @@ cache_hits counts reused subtrahend evaluations: hits(k) =
 
 All randomness derives from sampling-module stream keys.  Every reduction
 runs per row in a fixed order: Monte-Carlo sums go over fixed blocks of
-_ROW_BLOCK samples in counter order, and chunks of at most _CHUNK_VALUES
-values hold whole rows.  Results of both variants are therefore
-bit-identical under any thread count, batch size or chunk budget.
+_ROW_BLOCK samples in counter order, and the depth-0 term is evaluated in
+chunks of whole rows holding about _CHUNK_VALUES Gaussian values, which
+bounds the working set of the chunk's normals, phi arguments and kernel
+products.  Results of both variants are therefore bit-identical under any
+thread count, batch size, chunk budget or sampling tile size.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ import numpy as np
 from .problems import BsdeProblem
 from .quadrature import (MAX_ORDER, NonFiniteIntegrandError, build_rule,
                          legendre_roots)
-from .sampling import StreamKey, child_digests, normal_block
+from .sampling import StreamKey, check_digests, child_digests, normal_block
 
 MAX_DEPTH = 10
 SINGULARITY_FLOOR = 1e-12
@@ -70,7 +72,10 @@ _SPINE_SLOT = 0         # modified: i.i.d. copies at the frame's own point
 _POINT_SLOT = 1         # modified: slot 1+j for quadrature point j
 _MINUEND_SLOT = 1       # original: slot 1+2j at level l
 _SUBTRAHEND_SLOT = 2    # original: slot 2+2j at level l-1
-_CHUNK_VALUES = 1 << 22  # cap on Gaussian values materialized at once
+# Gaussian values per depth-0 chunk of whole rows.  It also sizes the
+# chunk's phi arguments and kernel products, so it stays well inside L2;
+# on the benchmark 2^14 to 2^17 time alike and 2^22 is slower.
+_CHUNK_VALUES = 1 << 16
 _ROW_BLOCK = 1 << 12     # samples per fixed reduction block of one row
 
 
@@ -246,6 +251,8 @@ def _base_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
     Stream layout per key: counters [0, m d) hold the terminal increments;
     the kernel increments for node j live at [kernel_off + j m d,
     kernel_off + (j+1) m d), reserved whether or not z is requested.
+    Rows go in chunks of about _CHUNK_VALUES Gaussian values, which bounds
+    the normals, phi arguments and kernel products alive at once.
     """
     B, d = dig.size, ctx.d
     tau = ctx.horizon - s
@@ -438,6 +445,7 @@ def run_batch(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
     public entry points.  Returns (y, z or None, counters, diff) where y
     and diff have one entry per row and counters are totals over all rows.
     """
+    check_digests(digests)
     t = _check_time(problem, t)
     _check_tree(problem, cfg, t, cfg.depth)
     xv = _prepare_point(problem, x)

@@ -12,6 +12,14 @@ masked python ints because numpy scalar uint64 arithmetic warns on
 wraparound; the batch helpers work on uint64 arrays where modular
 wraparound is silent and intended.  Normals come from the inverse CDF, one
 uniform per normal, which keeps stream accounting trivial.
+
+Word c >= 1 of the stream with digest g is mix64(g + c * GOLD); its top 53
+bits, centered in their bin, give the uniform ((w >> 11) + 1/2) 2^-53 and
+ndtri of that the normal.  Every value depends on its (digest, counter)
+pair alone, so a block is filled tile by tile: tiles of at most _TILE
+values (whole rows when a row is short, row segments when it is long) are
+mixed and converted in place in cache-sized scratch buffers allocated per
+call, never shared between threads.  The tile size moves no bit.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ MAX_LEVEL = 1 << 6
 MAX_SLOT = 1 << 14
 MAX_REPLICA = 1 << 32
 MAX_PATH_DEPTH = 32
+_TILE = 1 << 14  # values mixed and converted per tile of a block
 
 
 def _mix64(z: int) -> int:
@@ -56,6 +65,16 @@ def _mix64_u64(z: np.ndarray) -> np.ndarray:
     out *= np.uint64(_MIX2)
     out ^= out >> np.uint64(31)
     return out
+
+
+def check_digests(digests: np.ndarray) -> None:
+    """Refuse digests that are not a uint64 array: signed or float values
+    would be promoted before mixing and alias neighbouring streams."""
+    dtype = getattr(digests, "dtype", None)
+    if dtype != np.uint64:
+        got = type(digests).__name__ if dtype is None else dtype
+        raise TypeError(f"stream digests must be a numpy uint64 array, "
+                        f"got {got}")
 
 
 def _pack_triple(level: int, replica: int, slot: int) -> int:
@@ -104,11 +123,6 @@ def child_key(key: StreamKey, level: int, replica: int, slot: int) -> StreamKey:
     )
 
 
-def _to_uniform(values: np.ndarray) -> np.ndarray:
-    # top 53 bits, centered in the bin: strictly inside (0, 1)
-    return ((values >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-
-
 def child_digests(digests: np.ndarray, level: int, slot: int,
                   replicas: np.ndarray) -> np.ndarray:
     """Vectorized child derivation: (B,) digests x (R,) replicas -> (B, R).
@@ -116,6 +130,7 @@ def child_digests(digests: np.ndarray, level: int, slot: int,
     Matches child_key bit for bit: column r equals the digest of
     child_key(key_b, level, replicas[r], slot).
     """
+    check_digests(digests)
     if not 0 <= level < MAX_LEVEL:
         raise ValueError(f"level {level} outside [0, {MAX_LEVEL})")
     if not 0 <= slot < MAX_SLOT:
@@ -128,16 +143,58 @@ def child_digests(digests: np.ndarray, level: int, slot: int,
     return _mix64_u64(digests[:, None] ^ consts[None, :])
 
 
-def stream_values(digests: np.ndarray, offset: int, count: int) -> np.ndarray:
-    """Raw 64-bit stream words at counters [offset, offset+count), per row."""
-    counters = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    return _mix64_u64(digests[:, None] + counters[None, :] * np.uint64(_GOLD))
+def _fill(digests: np.ndarray, offset: int, count: int,
+          finish: np.ufunc) -> np.ndarray:
+    """finish of the uniforms at counters [offset + 1, offset + count] per
+    row, shape (B, count), computed tile by tile."""
+    check_digests(digests)
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if not 0 <= offset <= _MASK - count:
+        raise ValueError(f"counter window at offset {offset} with {count} "
+                         f"values leaves the 64-bit counter range")
+    B = digests.size
+    out = np.empty((B, count))
+    if out.size == 0:
+        return out
+    words = np.arange(count, dtype=np.uint64)
+    words += np.uint64(offset + 1)
+    words *= np.uint64(_GOLD)
+    cols = min(count, _TILE)
+    rows = min(B, max(1, _TILE // count))
+    bits = np.empty((rows, cols), dtype=np.uint64)
+    tmp = np.empty((rows, cols), dtype=np.uint64)
+    unif = np.empty((rows, cols))
+    for r0 in range(0, B, rows):
+        r1 = min(r0 + rows, B)
+        for c0 in range(0, count, cols):
+            c1 = min(c0 + cols, count)
+            z, t = bits[:r1 - r0, :c1 - c0], tmp[:r1 - r0, :c1 - c0]
+            # splitmix64 finalizer in place, as in _mix64_u64
+            np.add(digests[r0:r1, None], words[None, c0:c1], out=z)
+            np.right_shift(z, np.uint64(30), out=t)
+            z ^= t
+            z *= np.uint64(_MIX1)
+            np.right_shift(z, np.uint64(27), out=t)
+            z ^= t
+            z *= np.uint64(_MIX2)
+            np.right_shift(z, np.uint64(31), out=t)
+            z ^= t
+            # top 53 bits, centered in the bin: strictly inside (0, 1)
+            z >>= np.uint64(11)
+            u = unif[:r1 - r0, :c1 - c0]
+            np.add(z, 0.5, out=u)
+            u *= 2.0**-53
+            finish(u, out=out[r0:r1, c0:c1])
+    return out
 
 
 def uniform_block(digests: np.ndarray, offset: int, count: int) -> np.ndarray:
-    return _to_uniform(stream_values(digests, offset, count))
+    """Uniforms strictly inside (0, 1), shape (B, count), at counters
+    [offset + 1, offset + count] of each row's stream."""
+    return _fill(digests, offset, count, np.positive)
 
 
 def normal_block(digests: np.ndarray, offset: int, count: int) -> np.ndarray:
     """Standard normals, shape (B, count), at the given counter window."""
-    return ndtri(uniform_block(digests, offset, count))
+    return _fill(digests, offset, count, ndtri)

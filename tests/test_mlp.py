@@ -8,7 +8,7 @@ import pytest
 from mlpicard import (CostCounters, Estimate, InvalidTimeError, MlpConfig,
                       NonFiniteIntegrandError, estimate, make_problem,
                       paired_recursion)
-from mlpicard import mlp
+from mlpicard import mlp, sampling
 from mlpicard.mlp import MAX_DEPTH, REPLICATION_LEVEL, run_batch
 from mlpicard.sampling import StreamKey, child_digests, child_key
 
@@ -336,17 +336,21 @@ def test_run_batch_rows_match_single_runs(monkeypatch):
     # each row sums its samples in fixed blocks of _ROW_BLOCK in counter
     # order, so neither the batch size nor the chunk budget moves a bit;
     # _ROW_BLOCK = 2 makes every row span several blocks, and
-    # _CHUNK_VALUES = 1 puts one row in each chunk
+    # _CHUNK_VALUES = 1 puts one row in each chunk; the sampling tile size
+    # (1: one value per tile, 7: tiles straddle rows and blocks) moves none
     p = make_problem("linear-y", alpha=0.7)
     root = np.array([StreamKey.from_seed(19).digest], dtype=np.uint64)
     digs = child_digests(root, REPLICATION_LEVEL, 0, np.arange(3))[0]
-    for variant, row_block in itertools.product(("modified", "original"),
-                                                (None, 2)):
+    default_chunk = mlp._CHUNK_VALUES
+    for variant, row_block, tile in itertools.product(
+            ("modified", "original"), (None, 2), (None, 1, 7)):
         if row_block is not None:
             monkeypatch.setattr(mlp, "_ROW_BLOCK", row_block)
         cfg = cfg_for(variant, 2, 3, 2, seed=19, estimate_z=True)
         ref_y, ref_z, _, _ = run_batch(p, cfg, 0.0, 0.3, digs)
-        for chunk in (1 << 22, 1):
+        if tile is not None:
+            monkeypatch.setattr(sampling, "_TILE", tile)
+        for chunk in (1 << 22, default_chunk, 1):
             monkeypatch.setattr(mlp, "_CHUNK_VALUES", chunk)
             y, z, counters, diff = run_batch(p, cfg, 0.0, 0.3, digs)
             singles = [estimate(p, cfg, 0.0, 0.3,
@@ -364,6 +368,24 @@ def test_run_batch_rows_match_single_runs(monkeypatch):
                 total = total + s.cost
             assert counters == total
         monkeypatch.undo()
+
+
+def test_run_batch_refuses_non_uint64_digests(monkeypatch):
+    # int64 + uint64 promotes to float64, so digests 1 and 2 would collapse
+    # onto the same counters; the refusal comes before any sampling
+    p = make_problem("bounded-nonlinear")
+    cfg = MlpConfig("modified", 1, 4, 2)
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before the digests were checked")
+
+    monkeypatch.setattr(mlp, "normal_block", no_sampling)
+    for bad in (np.array([1, 2]), np.array([1.0, 2.0]), [1, 2]):
+        with pytest.raises(TypeError, match="uint64"):
+            run_batch(p, cfg, 0.0, 0.0, bad)
+    monkeypatch.undo()
+    y, _, _, _ = run_batch(p, cfg, 0.0, 0.0, np.array([1, 2], dtype=np.uint64))
+    assert y[0] != y[1]
 
 
 def test_replications_are_distinct():

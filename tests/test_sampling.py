@@ -1,10 +1,14 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from mlpicard.sampling import (MAX_LEVEL, MAX_PATH_DEPTH, MAX_REPLICA,
                                MAX_SLOT, StreamKey, child_digests, child_key,
-                               normal_block, uniform_block, _mix64,
-                               _mix64_u64)
+                               normal_block, uniform_block, _GOLD, _MASK,
+                               _TILE, _mix64, _mix64_u64)
 
 
 def _row(key):
@@ -172,3 +176,95 @@ def test_normal_block_matches_stream_reader():
         seq = np.concatenate([normal_block(_row(key), off, 64)[0]
                               for off in range(0, 256, 64)])
         assert np.array_equal(row, seq)
+
+
+def _reference_uniform(digests, offset, count):
+    # the stream definition, untiled: word c of digest g is
+    # mix64(g + c GOLD), its top 53 bits centered in their bin
+    ctr = np.arange(count, dtype=np.uint64) + np.uint64(offset + 1)
+    words = _mix64_u64(digests[:, None] + ctr[None, :] * np.uint64(_GOLD))
+    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def _digests(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, _MASK, size=n, dtype=np.uint64, endpoint=True)
+
+
+@pytest.mark.parametrize("offset", [0, 1 << 40])
+@pytest.mark.parametrize("rows, count", [
+    (3, 1), (3, _TILE - 1), (3, _TILE), (3, _TILE + 1), (2, 3 * _TILE + 5),
+    # short rows: several row tiles, the last one partial
+    (2 * _TILE // 5 + 3, 5), (3 * _TILE // 1000 + 1, 1000)])
+def test_tiled_blocks_match_untiled_formula(rows, count, offset):
+    digs = _digests(rows, seed=count)
+    u = _reference_uniform(digs, offset, count)
+    assert np.array_equal(uniform_block(digs, offset, count), u)
+    assert np.array_equal(normal_block(digs, offset, count), ndtri(u))
+
+
+def test_counter_window_at_the_top_of_the_range():
+    digs = _digests(2)
+    top = _MASK - 3
+    assert np.array_equal(normal_block(digs, top, 3),
+                          ndtri(_reference_uniform(digs, top, 3)))
+    with pytest.raises(ValueError):
+        normal_block(digs, top + 1, 3)
+
+
+def test_empty_blocks_keep_their_shape():
+    digs = _digests(4)
+    empty = np.array([], dtype=np.uint64)
+    for block in (normal_block, uniform_block):
+        assert block(empty, 0, 7).shape == (0, 7)
+        assert block(digs, 0, 0).shape == (4, 0)
+        assert block(empty, 0, 0).shape == (0, 0)
+
+
+def test_non_uint64_digests_refused():
+    # int64 + uint64 promotes to float64, which would alias nearby streams
+    for bad in (np.array([1, 2]), np.array([1.0, 2.0]), [1, 2]):
+        for block in (normal_block, uniform_block):
+            with pytest.raises(TypeError, match="uint64"):
+                block(bad, 0, 4)
+        with pytest.raises(TypeError, match="uint64"):
+            child_digests(bad, 0, 0, np.arange(2))
+
+
+def test_bad_counter_windows_refused():
+    digs = _digests(2)
+    for block in (normal_block, uniform_block):
+        with pytest.raises(ValueError):
+            block(digs, 0, -1)
+        with pytest.raises(ValueError):
+            block(digs, -1, 4)
+        with pytest.raises(ValueError):
+            block(digs, 1 << 64, 4)
+
+
+def test_concurrent_blocks_match_serial_ones():
+    # scratch buffers are per call: two threads filling blocks at once get
+    # the bits of serial calls
+    jobs = [(_digests(40, seed=s), 3 * _TILE // 40 + 11) for s in (1, 2)]
+    serial = [normal_block(d, 5, n) for d, n in jobs]
+    results = [[], []]
+
+    def work(i):
+        d, n = jobs[i]
+        for _ in range(20):
+            results[i].append(normal_block(d, 5, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for ref, got in zip(serial, results):
+        assert len(got) == 20
+        assert all(np.array_equal(ref, g) for g in got)
