@@ -16,10 +16,16 @@ decay factorially in k, so the supremum is found by a finite scan.
 The oracle iterates the integral fixed-point map deterministically on a
 one-dimensional space grid: Gaussian expectations are Gauss-Legendre
 integrals over an 8-sigma window, and iterate values between grid points
-come from barycentric interpolation.  For a generator linear in y the
-oracle equals the exact expectation of either stochastic scheme at the
-same time-quadrature order, which makes it a bias oracle that is sharper
-than any analytic solution.
+come from barycentric interpolation.  Inside each convolution that is the
+second (true) form of Berrut and Trefethen (SIAM Review 46, 2004),
+sum lam_m v_m/(p - x_m) / sum lam_m/(p - x_m): two matrix-vector products
+over one reciprocal-distance matrix, where a point within 1e-13 of a node
+takes the node's value.  The query point keeps the normalised first form:
+one row of weights costs nothing, and the second form there moves the
+value by an ulp.  For a generator linear in y the oracle equals the exact
+expectation of either stochastic scheme at the same time-quadrature
+order, which makes it a bias oracle that is sharper than any analytic
+solution.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import numpy as np
 from .mlp import (REPLICATION_LEVEL, InvalidTimeError, MlpConfig,
                   _check_time, _prepare_point, run_batch)
 from .problems import BsdeProblem
-from .quadrature import build_rule
+from .quadrature import NonFiniteIntegrandError, build_rule
 from .sampling import StreamKey, child_digests
 
 MAX_ORACLE_DEPTH = 6
@@ -44,6 +50,7 @@ _TAIL_SIGMAS = 8.0     # Gaussian windows truncated at 8 standard deviations
 # hull, so clipping never contaminates the iterates
 _GRID_SIGMAS = 12.0
 _DISPLACEMENT_NODES = 64
+_NODE_HIT = 1e-13      # a point this close to a grid node takes its value
 
 
 class TheoremNotApplicableError(ValueError):
@@ -166,17 +173,21 @@ def _barycentric_weights(n: int) -> np.ndarray:
     return lam
 
 
-def _interp_rows(grid: np.ndarray, lam: np.ndarray,
-                 pts: np.ndarray) -> np.ndarray:
-    """Row-normalized barycentric weights; rows @ values interpolates."""
-    diff = pts[:, None] - grid[None, :]
-    hit = np.abs(diff) < 1e-13
-    w = lam[None, :] / np.where(hit, 1.0, diff)
-    rows = w / w.sum(axis=1, keepdims=True)
-    exact = hit.any(axis=1)
-    if exact.any():
-        rows[exact] = hit[exact].astype(np.float64)
-    return rows
+def _interpolate(grid: np.ndarray, lam: np.ndarray, pts: np.ndarray,
+                 values: np.ndarray) -> np.ndarray:
+    """Second-form barycentric interpolant of values at pts in
+    [grid[0], grid[-1]]; a point within _NODE_HIT of a node takes its value."""
+    near = np.searchsorted(grid, pts).clip(1, grid.size - 1)
+    near -= pts - grid[near - 1] < grid[near] - pts
+    hit = np.abs(pts - grid[near]) < _NODE_HIT
+    # fill, then subtract along contiguous rows: faster than subtract.outer
+    inv = np.empty((pts.size, grid.size))
+    inv[...] = pts[:, None]
+    inv -= grid
+    inv[hit] = 1.0     # any non-zero: hit rows are not used
+    np.divide(1.0, inv, out=inv)
+    num, den = inv @ (lam * values), inv @ lam
+    return np.divide(num, den, out=values[near], where=~hit)
 
 
 def deterministic_picard(problem: BsdeProblem, depth: int, quad_order: int,
@@ -197,12 +208,14 @@ def deterministic_picard(problem: BsdeProblem, depth: int, quad_order: int,
             f"problem {problem.name!r} declares generator_uses_z")
     if not 0 <= depth <= MAX_ORACLE_DEPTH:
         raise ValueError(f"depth must lie in 0..{MAX_ORACLE_DEPTH}, got {depth}")
-    if space_quad < 8:
-        raise ValueError("space_quad must be >= 8")
+    if (not isinstance(space_quad, (int, np.integer))
+            or isinstance(space_quad, bool) or space_quad < 8):
+        raise ValueError(
+            f"space_quad must be an integer >= 8, got {space_quad!r}")
     t = _check_time(problem, t)
+    x0 = float(_prepare_point(problem, x)[0])
     if depth == 0:
         return 0.0
-    x0 = float(_prepare_point(problem, x)[0])
     T = problem.horizon
 
     ref_nodes, _ = _reference_gauss(space_quad)
@@ -222,8 +235,7 @@ def deterministic_picard(problem: BsdeProblem, depth: int, quad_order: int,
             vals = fn(pts[..., None])
         else:
             clipped = np.clip(pts, grid[0], grid[-1]).ravel()
-            vals = (_interp_rows(grid, lam, clipped) @ values)
-            vals = vals.reshape(pts.shape)
+            vals = _interpolate(grid, lam, clipped, values).reshape(pts.shape)
         return vals @ dens
 
     zero_z = np.zeros((space_quad, 1))
@@ -248,7 +260,16 @@ def deterministic_picard(problem: BsdeProblem, depth: int, quad_order: int,
         return vec
 
     final = iterate(depth, t)
-    return float((_interp_rows(grid, lam, np.array([x0])) @ final)[0])
+    # first (normalised) form at the query point; see the module docstring
+    diff = x0 - grid
+    hit = np.abs(diff) < _NODE_HIT
+    w = lam / np.where(hit, 1.0, diff)
+    value = float(np.where(hit.any(), hit, w / w.sum()) @ final)
+    if not math.isfinite(value):
+        raise NonFiniteIntegrandError(
+            "oracle value is not finite: the terminal condition or the "
+            "generator returned NaN or infinity")
+    return value
 
 
 @dataclass(frozen=True)

@@ -406,6 +406,8 @@ def _prepare_point(problem: BsdeProblem, x) -> np.ndarray:
         x = np.full(problem.dim, float(x))
     if x.shape != (problem.dim,):
         raise ValueError(f"x must be scalar or shape ({problem.dim},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"x must be finite, got {x}")
     return x
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from mlpicard import (InvalidTimeError, MissingBoundsError, MlpConfig,
-                      OracleUnavailableError, TheoremNotApplicableError,
-                      deterministic_picard, make_problem, run_replications,
-                      theorem_bound)
-from mlpicard.analysis import MAX_ORACLE_DEPTH
+                      NonFiniteIntegrandError, OracleUnavailableError,
+                      TheoremNotApplicableError, deterministic_picard,
+                      estimate, make_problem, run_replications, theorem_bound)
+from mlpicard import mlp
+from mlpicard.analysis import (MAX_ORACLE_DEPTH, _barycentric_weights,
+                               _interpolate, _reference_gauss)
 from mlpicard.quadrature import quadrature_error_bound
 from mlpicard.sampling import StreamKey, child_key
 
@@ -151,8 +154,9 @@ def test_oracle_refusals():
         deterministic_picard(p, MAX_ORACLE_DEPTH + 1, 4, 0.0, 0.0)
     with pytest.raises(ValueError):
         deterministic_picard(p, -1, 4, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        deterministic_picard(p, 2, 4, 0.0, 0.0, space_quad=7)
+    for bad in (7, 200.5, 200.0, True, "200"):
+        with pytest.raises(ValueError, match="space_quad"):
+            deterministic_picard(p, 2, 4, 0.0, 0.0, space_quad=bad)
     with pytest.raises(InvalidTimeError):
         deterministic_picard(p, 2, 4, 1.0, 0.0)
 
@@ -198,6 +202,91 @@ def test_oracle_space_quad_converged():
     coarse = deterministic_picard(p, 2, 4, 0.0, 0.3, space_quad=150)
     fine = deterministic_picard(p, 2, 4, 0.0, 0.3, space_quad=260)
     assert abs(coarse - fine) < 1e-5
+
+
+def test_oracle_bits_pinned():
+    # float.hex of four oracle values; any change to the interpolation,
+    # the space rule or the final evaluation that moves a bit fails here
+    cases = [
+        (make_problem("linear-y", alpha=0.8), 3, 4, 0.0, 0.3,
+         "0x1.3a7979552c78fp+0"),
+        (make_problem("zero-gen"), 4, 4, 0.0, 0.0, "0x1.368b2fc6f961bp-1"),
+        (make_problem("linear-y", alpha=0.8), 3, 4, 0.4, -0.2,
+         "0x1.287f97f2d57cap+0"),
+        (make_problem("linear-y", alpha=7.0), 6, 3, 0.0, 0.1,
+         "0x1.8e076af079f71p+7"),
+    ]
+    for p, depth, q, t, x, want in cases:
+        got = deterministic_picard(p, depth, q, t, x).hex()
+        assert got == want, (p.name, depth, q, t, x)
+
+
+@pytest.mark.filterwarnings("error")
+def test_interpolant_exact_on_polynomials_and_nodes():
+    # the oracle's grid on [x0 - 12, x0 + 12]; warnings are errors, so a
+    # division by zero at a node that is not masked fails the test
+    x0, half = 0.3, 12.0
+    rng = np.random.default_rng(3)
+    for n in (200, 16):
+        grid = x0 + half * _reference_gauss(n)[0]
+        lam = _barycentric_weights(n)
+
+        def interp(pts, values):
+            return _interpolate(grid, lam, np.asarray(pts, dtype=np.float64),
+                                values)
+
+        # a polynomial of degree n - 1 is reproduced to rounding
+        coef = rng.standard_normal(n) / np.arange(1, n + 1)
+        poly = np.polynomial.Legendre(coef, domain=[x0 - half, x0 + half])
+        pts = rng.uniform(grid[0], grid[-1], 5000)
+        err = np.abs(interp(pts, poly(grid)) - poly(pts)).max()
+        assert err < 1e-12 * np.abs(poly(grid)).max(), n
+
+        values = np.cos(grid)
+        # grid nodes and points within 1e-13 of them take the node's value
+        assert np.array_equal(interp(grid, values), values)
+        for offset in (5e-14, -9e-14):
+            assert np.array_equal(interp(grid + offset, values), values)
+        # points clipped to the hull ends are exact hits on the end nodes
+        clipped = np.clip([grid[0] - 3.0, grid[-1] + 3.0, grid[0] - 1e-9],
+                          grid[0], grid[-1])
+        assert np.array_equal(interp(clipped, values), values[[0, -1, 0]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_oracle_query_point_on_a_node():
+    # an odd grid puts its middle node on the query point, which then
+    # takes the node's value with no division by zero
+    p = make_problem("zero-gen")
+    want = math.exp(-0.5) * math.cos(0.3)
+    for n in (201, 200):
+        assert abs(deterministic_picard(p, 1, 4, 0.0, 0.3, space_quad=n)
+                   - want) < 1e-12
+
+
+def test_oracle_rejects_non_finite_point(monkeypatch):
+    p = make_problem("linear-y", alpha=0.8)
+    for x in (math.nan, math.inf):
+        for depth in (0, 1):
+            with pytest.raises(ValueError, match="finite"):
+                deterministic_picard(p, depth, 4, 0.0, x)
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before the point was checked")
+
+    # estimate refuses the same point before any sampling
+    monkeypatch.setattr(mlp, "normal_block", no_sampling)
+    for variant in ("modified", "original"):
+        with pytest.raises(ValueError, match="finite"):
+            estimate(p, MlpConfig(variant, 2, 2, 2), 0.0, math.nan)
+
+
+def test_oracle_non_finite_generator_raises():
+    base = make_problem("linear-y", alpha=0.8)
+    p = dataclasses.replace(
+        base, generator=lambda t, y, z: np.full(np.shape(y), np.nan))
+    with pytest.raises(NonFiniteIntegrandError):
+        deterministic_picard(p, 1, 4, 0.0, 0.3)
 
 
 # --- run_replications ---------------------------------------------------

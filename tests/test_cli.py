@@ -259,6 +259,12 @@ def test_oracle_rejects_multidim(capsys):
                  "--dim", "3"]) == EXIT_CONFIG
 
 
+def test_oracle_rejects_non_finite_point(capsys):
+    assert main(["oracle", "--problem", "linear-y", "--depth", "1",
+                 "--x", "nan"]) == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+
+
 def test_invalid_flag_values_are_config_errors(tmp_path):
     assert main(["solve", "--problem", "zero-gen", "--depth", "99",
                  "--out", str(tmp_path / "a.csv")]) == EXIT_CONFIG
