@@ -3,8 +3,9 @@ problems, with reproducible splittable random streams, Gauss-Legendre
 time quadrature, a-priori error bounds, and a deterministic d=1 oracle.
 """
 
-from .analysis import (MissingBoundsError, OracleUnavailableError, RunStats,
-                       TheoremBound, TheoremNotApplicableError,
+from .analysis import (MemoryBudgetError, MissingBoundsError,
+                       OracleUnavailableError, RunStats, TheoremBound,
+                       TheoremNotApplicableError,
                        deterministic_picard, run_replications, theorem_bound)
 from .mlp import (CostCounters, Estimate, InvalidTimeError, MlpConfig,
                   PairEstimate, estimate, paired_recursion)
@@ -26,6 +27,7 @@ __all__ = [
     "Estimate",
     "InvalidOrderError",
     "InvalidTimeError",
+    "MemoryBudgetError",
     "MissingBoundsError",
     "MlpConfig",
     "NonFiniteIntegrandError",

@@ -31,14 +31,16 @@ solution.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _workers
 from .mlp import (REPLICATION_LEVEL, InvalidTimeError, MlpConfig,
-                  _check_time, _prepare_point, run_batch)
+                  _check_time, _prepare_point, run_batch, working_set)
 from .problems import BsdeProblem
 from .quadrature import NonFiniteIntegrandError, build_rule
 from .sampling import StreamKey, child_digests
@@ -51,6 +53,13 @@ _TAIL_SIGMAS = 8.0     # Gaussian windows truncated at 8 standard deviations
 _GRID_SIGMAS = 12.0
 _DISPLACEMENT_NODES = 64
 _NODE_HIT = 1e-13      # a point this close to a grid node takes its value
+# predicted bytes of the replication slices in flight together; the
+# benchmark's cells fit one slice per worker
+_SLICE_BYTES = 1 << 27
+
+
+class MemoryBudgetError(ValueError):
+    """One replication alone is predicted to exceed the slice budget."""
 
 
 class TheoremNotApplicableError(ValueError):
@@ -190,6 +199,58 @@ def _interpolate(grid: np.ndarray, lam: np.ndarray, pts: np.ndarray,
     return np.divide(num, den, out=values[near], where=~hit)
 
 
+class _Oracle:
+    """The fixed-point map on one space grid.  iterate takes its memo as an
+    argument, so no closure refers to itself and every array of a call is
+    freed when the call returns, without waiting for the cyclic collector."""
+
+    def __init__(self, problem: BsdeProblem, quad_order: int,
+                 space_quad: int, x0: float):
+        self.problem = problem
+        self.quad_order = quad_order
+        self.horizon = problem.horizon
+        ref_nodes, _ = _reference_gauss(space_quad)
+        self.lam = _barycentric_weights(space_quad)
+        self.grid = x0 + _GRID_SIGMAS * math.sqrt(self.horizon) * ref_nodes
+        self.u_nodes, self.u_weights = _reference_gauss(_DISPLACEMENT_NODES)
+        self.zero_z = np.zeros((space_quad, 1))
+
+    def convolve(self, tau, values=None, fn=None):
+        # E[g(grid_m + W_tau)] for every grid point, as one quadrature
+        grid = self.grid
+        scale = _TAIL_SIGMAS * math.sqrt(tau)
+        u = scale * self.u_nodes
+        dens = (scale * self.u_weights) * np.exp(-u * u / (2.0 * tau)) \
+            / math.sqrt(2.0 * math.pi * tau)
+        pts = grid[:, None] + u[None, :]
+        if fn is not None:
+            vals = fn(pts[..., None])
+        else:
+            clipped = np.clip(pts, grid[0], grid[-1]).ravel()
+            vals = _interpolate(grid, self.lam, clipped,
+                                values).reshape(pts.shape)
+        return vals @ dens
+
+    def iterate(self, k: int, s: float, memo: dict) -> np.ndarray:
+        if k == 0:
+            return np.zeros(self.grid.size)
+        key = (k, s)
+        if key in memo:
+            return memo[key]
+        T = self.horizon
+        vec = self.convolve(T - s, fn=self.problem.terminal)
+        rule = build_rule(self.quad_order, s, T)
+        for j in range(self.quad_order):
+            t_j = float(rule.nodes[j])
+            w_j = float(rule.weights[j])
+            prev = self.iterate(k - 1, t_j, memo)
+            f_prev = np.asarray(self.problem.generator(t_j, prev, self.zero_z),
+                                dtype=np.float64)
+            vec = vec + w_j * self.convolve(t_j - s, values=f_prev)
+        memo[key] = vec
+        return vec
+
+
 def deterministic_picard(problem: BsdeProblem, depth: int, quad_order: int,
                          t: float, x, space_quad: int = 200) -> float:
     """Deterministic fixed-point iterate at (t, x) for d = 1 problems.
@@ -216,50 +277,9 @@ def deterministic_picard(problem: BsdeProblem, depth: int, quad_order: int,
     x0 = float(_prepare_point(problem, x)[0])
     if depth == 0:
         return 0.0
-    T = problem.horizon
-
-    ref_nodes, _ = _reference_gauss(space_quad)
-    lam = _barycentric_weights(space_quad)
-    half = _GRID_SIGMAS * math.sqrt(T)
-    grid = x0 + half * ref_nodes
-    u_nodes, u_weights = _reference_gauss(_DISPLACEMENT_NODES)
-
-    def convolve(tau, values=None, fn=None):
-        # E[g(grid_m + W_tau)] for every grid point, as one quadrature
-        scale = _TAIL_SIGMAS * math.sqrt(tau)
-        u = scale * u_nodes
-        dens = (scale * u_weights) * np.exp(-u * u / (2.0 * tau)) \
-            / math.sqrt(2.0 * math.pi * tau)
-        pts = grid[:, None] + u[None, :]
-        if fn is not None:
-            vals = fn(pts[..., None])
-        else:
-            clipped = np.clip(pts, grid[0], grid[-1]).ravel()
-            vals = _interpolate(grid, lam, clipped, values).reshape(pts.shape)
-        return vals @ dens
-
-    zero_z = np.zeros((space_quad, 1))
-    memo: dict = {}
-
-    def iterate(k: int, s: float) -> np.ndarray:
-        if k == 0:
-            return np.zeros(space_quad)
-        key = (k, s)
-        if key in memo:
-            return memo[key]
-        vec = convolve(T - s, fn=problem.terminal)
-        rule = build_rule(quad_order, s, T)
-        for j in range(quad_order):
-            t_j = float(rule.nodes[j])
-            w_j = float(rule.weights[j])
-            prev = iterate(k - 1, t_j)
-            f_prev = np.asarray(problem.generator(t_j, prev, zero_z),
-                                dtype=np.float64)
-            vec = vec + w_j * convolve(t_j - s, values=f_prev)
-        memo[key] = vec
-        return vec
-
-    final = iterate(depth, t)
+    oracle = _Oracle(problem, quad_order, space_quad, x0)
+    final = oracle.iterate(depth, t, {})
+    grid, lam = oracle.grid, oracle.lam
     # first (normalised) form at the query point; see the module docstring
     diff = x0 - grid
     hit = np.abs(diff) < _NODE_HIT
@@ -293,6 +313,14 @@ def run_replications(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
     (level REPLICATION_LEVEL, replica r, slot 0) of the seed's root key;
     passing keys explicitly overrides the derivation (deliberately equal
     keys give std_y = 0).
+
+    The rows run in contiguous slices, one run_batch each: one slice per
+    spare core claimed from the process-wide pool plus the caller's, and
+    more when the slices in flight would exceed _SLICE_BYTES as predicted
+    by mlp.working_set.  Every row is reduced on its own, so slices move
+    no bit, like batch size, chunk budget and sampling tile size.  A
+    replication predicted to exceed the budget alone raises
+    MemoryBudgetError before any sampling.
     """
     R = int(replications)
     if R < 2:
@@ -305,7 +333,21 @@ def run_replications(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
         root = np.array([StreamKey.from_seed(cfg.seed).digest], dtype=np.uint64)
         digests = child_digests(root, REPLICATION_LEVEL, 0, np.arange(R))[0]
 
-    ys, zs, counters, _ = run_batch(problem, cfg, t, x, digests)
+    row, call = working_set(problem, cfg)
+    if row + call > _SLICE_BYTES:
+        raise MemoryBudgetError(
+            f"one replication is predicted to hold {row + call} bytes, "
+            f"above the slice budget of {_SLICE_BYTES}")
+    helpers = _workers.claim(min(R, _SLICE_BYTES // (row + call)) - 1)
+    workers = 1 + helpers
+    per_slice = (_SLICE_BYTES // workers - call) // row
+    slices = np.array_split(
+        digests, min(R, workers * -(-R // (workers * per_slice))))
+    parts = _workers.fan_out(lambda dig: run_batch(problem, cfg, t, x, dig),
+                             slices, helpers)
+    ys = np.concatenate([p[0] for p in parts])
+    zs = None if parts[0][1] is None else np.concatenate([p[1] for p in parts])
+    counters = reduce(operator.add, (p[2] for p in parts))
     mean_y = float(ys.mean())
     std_y = float(ys.std(ddof=1))
     abs_error = None

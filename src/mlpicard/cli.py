@@ -32,14 +32,13 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _workers
 from .analysis import (MissingBoundsError, TheoremNotApplicableError,
                        deterministic_picard, run_replications, theorem_bound)
 from .mlp import MlpConfig
@@ -372,7 +371,7 @@ def _thread_count(args) -> int:
     if raw is None:
         return 1
     if raw == "auto":
-        return os.cpu_count() or 1
+        return _workers.CORES
     try:
         n = int(raw)
     except ValueError:
@@ -396,11 +395,9 @@ def _cmd_experiment(args, require_config: bool) -> int:
         except Exception as exc:  # cell failures are enumerated, not fatal
             return cell, None, exc
 
-    if threads == 1:
-        results = [work(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, cells))
+    # at most `threads` cells at once, on cores no other caller has claimed
+    helpers = _workers.claim(min(threads, len(cells)) - 1)
+    results = _workers.fan_out(work, cells, helpers)
 
     rows = [row for _, row, exc in results if exc is None]
     failures = [(cell, exc) for cell, _, exc in results if exc is not None]
@@ -471,8 +468,8 @@ def _add_content_flags(p: argparse.ArgumentParser):
 def _add_exec_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--threads", default=None,
-                   help="worker threads: a count or 'auto' "
-                        f"(env {THREADS_ENV} overrides)")
+                   help="cells at once, at most the cores: a count or "
+                        f"'auto' (env {THREADS_ENV} overrides)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 

@@ -47,7 +47,10 @@ _ROW_BLOCK samples in counter order, and the depth-0 term is evaluated in
 chunks of whole rows holding about _CHUNK_VALUES Gaussian values, which
 bounds the working set of the chunk's normals, phi arguments and kernel
 products.  Results of both variants are therefore bit-identical under any
-thread count, batch size, chunk budget or sampling tile size.
+thread count, batch size, chunk budget or sampling tile size, and so under
+any cut of the replications into slices: analysis.run_replications runs
+contiguous slices of rows, one run_batch each, on the calling thread and
+on spare cores, sized by the working set predicted by working_set.
 """
 
 from __future__ import annotations
@@ -77,6 +80,15 @@ _SUBTRAHEND_SLOT = 2    # original: slot 2+2j at level l-1
 # on the benchmark 2^14 to 2^17 time alike and 2^22 is slower.
 _CHUNK_VALUES = 1 << 16
 _ROW_BLOCK = 1 << 12     # samples per fixed reduction block of one row
+# Working set of run_batch, fitted to the ru_maxrss growth of both schemes
+# at d in {1, 4, 10, 25, 100}, M in {4, 8, 16, 64}, depth 2..5 and 32 to 128
+# rows.  Every frame of a top-level row holds a few (rows, d) arrays and
+# row vectors (points, increments, digests, generator values) over the
+# sum_{j<n} M^j rows of its subtree's levels; z adds the kernel products.
+_TREE_ARRAYS = {"modified": 6, "original": 5}   # (rows, d) arrays per tree row
+_Z_ARRAYS = 4                                   # more of them with z
+_TREE_VECTORS = 16                              # row vectors per tree row
+_CHUNK_ARRAYS = 4                               # chunk-sized arrays per call
 
 
 class InvalidTimeError(ValueError):
@@ -434,6 +446,21 @@ def _check_finite(*values: Optional[np.ndarray]) -> None:
         raise NonFiniteIntegrandError(
             "estimate is not finite: the terminal condition or the "
             "generator returned NaN or infinity")
+
+
+def working_set(problem: BsdeProblem, cfg: MlpConfig) -> tuple[int, int]:
+    """Predicted peak bytes of run_batch as (per row, per call): a call on
+    B rows holds about B * per_row + per_call bytes at once."""
+    M, d = cfg.base_samples, problem.dim
+    arrays = _TREE_ARRAYS[cfg.variant]
+    if cfg.estimate_z or problem.generator_uses_z:
+        arrays += _Z_ARRAYS
+    tree_rows = sum(M ** j for j in range(max(cfg.depth, 1)))  # depth 0: the row
+    # the widest depth-0 term: M^n samples per row at the original's top
+    m = M ** cfg.depth if cfg.variant == "original" else M
+    chunk = max(_CHUNK_VALUES, min(m, _ROW_BLOCK) * d)
+    return (8 * tree_rows * (arrays * d + _TREE_VECTORS),
+            8 * _CHUNK_ARRAYS * chunk)
 
 
 def _root_digests(cfg: MlpConfig, key: Optional[StreamKey]) -> np.ndarray:

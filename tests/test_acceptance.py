@@ -11,6 +11,7 @@ import contextlib
 import csv
 import json
 import math
+import threading
 import time
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 from mlpicard import (MlpConfig, build_rule, deterministic_picard, estimate,
                       integrate, make_problem, quadrature_error_bound,
                       run_replications, theorem_bound)
+from mlpicard import _workers
 from mlpicard.cli import main as cli_main
 
 EPS = np.finfo(float).eps
@@ -264,21 +266,36 @@ def test_10_thread_count_invariance(tmp_path, monkeypatch):
         "replications": 4,
         "seed": 11,
     }))
+    solve = ["solve", "--problem", "bounded-nonlinear", "--dim", "3",
+             "--variant", "both", "--depth", "3", "--samples", "4",
+             "--replications", "12", "--estimate-z", "--seed", "5"]
     outputs = {}
-    for label, threads in (("serial", "1"), ("auto", "auto")):
-        out = tmp_path / f"{label}.csv"
-        rc = cli_main(["sweep", "--config", str(config), "--threads",
-                       threads, "--out", str(out)])
+    # a sweep at 1 and auto cell threads; a one-cell solve whose rows run
+    # on no spare core and on every spare core
+    for label, argv, spare in (
+            ("serial", ["sweep", "--config", str(config), "--threads", "1"],
+             None),
+            ("auto", ["sweep", "--config", str(config), "--threads", "auto"],
+             None),
+            ("solve, no spare core", solve, 0),
+            ("solve, spare cores", solve, None)):
+        out = tmp_path / "out.csv"
+        with monkeypatch.context() as m:
+            if spare is not None:
+                m.setattr(_workers, "_spare", threading.Semaphore(spare))
+            rc = cli_main(argv + ["--out", str(out)])
         assert rc == 0
         with open(out, newline="") as fh:
-            outputs[label] = list(csv.reader(fh))
-    serial, auto = outputs["serial"], outputs["auto"]
-    # wall_time_s is the last column and the only one allowed to differ
-    same = len(serial) == len(auto) and all(
-        a[:-1] == b[:-1] for a, b in zip(serial, auto))
-    _finish(10, "sweep output invariant to worker thread count", 60.0, t0,
-            same, f"{len(serial) - 1} rows byte-identical at 1 vs auto "
-            "threads, wall time excluded")
+            # wall_time_s is the last column and the only one allowed to differ
+            outputs[label] = [row[:-1] for row in csv.reader(fh)]
+    sweep_same = outputs["serial"] == outputs["auto"]
+    solve_same = (outputs["solve, no spare core"]
+                  == outputs["solve, spare cores"])
+    _finish(10, "output invariant to worker thread count", 60.0, t0,
+            sweep_same and solve_same,
+            f"{len(outputs['serial']) - 1} sweep rows byte-identical at 1 vs "
+            f"auto threads, {len(outputs['solve, spare cores']) - 1} solve "
+            "rows at no vs every spare core, wall time excluded")
 
 
 def test_11_factorial_and_binomial_inequalities():

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import types
 
 import numpy as np
 import pytest
@@ -219,6 +221,24 @@ def test_oracle_bits_pinned():
     for p, depth, q, t, x, want in cases:
         got = deterministic_picard(p, depth, q, t, x).hex()
         assert got == want, (p.name, depth, q, t, x)
+
+
+def test_oracle_leaves_no_cyclic_garbage():
+    # the memo and the grid arrays are freed when the call returns, not
+    # left for the cyclic collector
+    p = make_problem("linear-y", alpha=0.8)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        deterministic_picard(p, 3, 4, 0.0, 0.3)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not [o for o in garbage if isinstance(o, types.FunctionType)]
+    assert not [o for o in garbage if isinstance(o, dict) and any(
+        isinstance(v, np.ndarray) for v in o.values())]
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,0 +1,246 @@
+"""Replication slices and CLI cells on the process-wide worker pool.
+
+Run under ``taskset -c 0`` these tests cover the path with no spare core;
+the test that needs a second core is skipped there.
+"""
+
+import collections
+import dataclasses
+import itertools
+import json
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mlpicard import (MemoryBudgetError, MlpConfig, NonFiniteIntegrandError,
+                      _workers, analysis, make_problem, mlp, run_replications)
+from mlpicard.cli import EXIT_OK, EXIT_PARTIAL, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _bits(stats):
+    z = None if stats.mean_z is None else [v.hex() for v in stats.mean_z]
+    return stats.mean_y.hex(), stats.std_y.hex(), z, stats.mean_cost
+
+
+class _Calls:
+    """Wraps analysis.run_batch: counts calls, the threads they run on and
+    the most calls running at once."""
+
+    def __init__(self, monkeypatch, before=None):
+        self.lock = threading.Lock()
+        self.calls = self.running = self.most = 0
+        self.threads = set()
+        inner = analysis.run_batch
+
+        def counted(*args):
+            with self.lock:
+                self.calls += 1
+                self.running += 1
+                self.most = max(self.most, self.running)
+                self.threads.add(threading.get_ident())
+            try:
+                if before is not None:
+                    args = before(*args)
+                return inner(*args)
+            finally:
+                with self.lock:
+                    self.running -= 1
+
+        monkeypatch.setattr(analysis, "run_batch", counted)
+
+
+def _spare_cores_back():
+    got = _workers.claim(_workers.CORES)
+    for _ in range(got):
+        _workers._spare.release()
+    return got
+
+
+def test_fan_out_runs_every_item_once_in_order(monkeypatch):
+    # more threads than cores and a 1 us switch interval: a lost update of
+    # the shared index would run an item twice or skip one
+    helpers = 2 * _workers.CORES + 2
+    pool = ThreadPoolExecutor(max_workers=helpers)
+    monkeypatch.setattr(_workers, "_pool", pool)
+    monkeypatch.setattr(_workers, "_spare", threading.Semaphore(0))
+    lock = threading.Lock()
+    seen = collections.Counter()
+    results = []
+
+    def square(i):
+        with lock:
+            seen[i] += 1
+        return i * i
+
+    def run():
+        results.extend(_workers.fan_out(square, list(range(3000)), helpers))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=run)
+        caller.start()
+        caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+        pool.shutdown()
+    assert not caller.is_alive()
+    assert results == [i * i for i in range(3000)]
+    assert len(seen) == 3000 and set(seen.values()) == {1}
+
+
+def test_slices_are_bit_neutral(monkeypatch):
+    # no spare core (one slice), every spare core, one row per slice on one
+    # thread, and one row per slice on every core give the same bits
+    p = make_problem("bounded-nonlinear", dim=2)
+    R = 6
+    for variant in ("modified", "original"):
+        cfg = MlpConfig(variant, 2, 3, 2, seed=5, estimate_z=True)
+        row, call = mlp.working_set(p, cfg)
+        runs = {}
+        for label, spare, budget in (
+                ("no spare core", 0, None),
+                ("every spare core", None, None),
+                ("row slices", None, row + call),
+                ("row slices on every core", None,
+                 _workers.CORES * (row + call))):
+            if spare is not None:
+                monkeypatch.setattr(_workers, "_spare",
+                                    threading.Semaphore(spare))
+            if budget is not None:
+                monkeypatch.setattr(analysis, "_SLICE_BYTES", budget)
+            calls = _Calls(monkeypatch)
+            runs[label] = _bits(run_replications(p, cfg, 0.1, 0.2, R))
+            monkeypatch.undo()
+            expected = {"no spare core": 1,
+                        "every spare core": min(R, _workers.CORES),
+                        "row slices": R, "row slices on every core": R}
+            assert calls.calls == expected[label], label
+        assert len(set(map(repr, runs.values()))) == 1, runs
+    assert _spare_cores_back() == _workers.CORES - 1
+
+
+def test_sweep_runs_no_more_batches_than_cores(tmp_path, monkeypatch):
+    monkeypatch.delenv("MLPICARD_THREADS", raising=False)
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "schema_version": 1, "problem": "bounded-nonlinear",
+        "variants": ["original", "modified"], "depths": [2, 3],
+        "samples": 4, "quad_orders": 2, "replications": 16, "seed": 3}))
+    calls = _Calls(monkeypatch)
+    assert main(["sweep", "--config", str(config), "--threads", "2",
+                 "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+    assert calls.calls >= 4
+    assert calls.most <= _workers.CORES
+    assert _spare_cores_back() == _workers.CORES - 1
+
+
+@pytest.mark.skipif(_workers.CORES < 2, reason="needs a second core")
+def test_one_cell_solve_uses_spare_cores(tmp_path, monkeypatch):
+    # the first two slices wait for each other, so the test fails (with a
+    # broken barrier) unless a second thread takes a slice
+    monkeypatch.delenv("MLPICARD_THREADS", raising=False)
+    barrier = threading.Barrier(2, timeout=20)
+    order = itertools.count(1)
+
+    def meet(*args):
+        if next(order) <= 2:
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                pass
+        return args
+
+    calls = _Calls(monkeypatch, before=meet)
+    assert main(["solve", "--problem", "bounded-nonlinear", "--depth", "2",
+                 "--samples", "4", "--replications", "8", "--threads", "1",
+                 "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+    assert not barrier.broken
+    assert len(calls.threads) > 1
+
+
+def test_failing_slice_raises_and_returns_cores(monkeypatch):
+    p = make_problem("bounded-nonlinear")
+    nan = dataclasses.replace(
+        p, generator=lambda t, y, z: np.full(np.shape(y), np.nan))
+    order = itertools.count(1)
+
+    def nan_in_one_slice(problem, *rest):
+        return (nan if next(order) == 2 else problem,) + rest
+
+    # one row per slice, on every core
+    cfg = MlpConfig("modified", 2, 3, 2, seed=1)
+    monkeypatch.setattr(analysis, "_SLICE_BYTES",
+                        _workers.CORES * sum(mlp.working_set(p, cfg)))
+    _Calls(monkeypatch, before=nan_in_one_slice)
+    with pytest.raises(NonFiniteIntegrandError):
+        run_replications(p, cfg, 0.0, 0.0, 8)
+    assert _spare_cores_back() == _workers.CORES - 1
+
+
+def test_replication_over_budget_refused_before_sampling(tmp_path,
+                                                         monkeypatch):
+    # about 340 MB per replication, above the 128 MiB slice budget
+    p = make_problem("bounded-nonlinear", dim=100)
+    cfg = MlpConfig("modified", 5, 16, 2)
+    row, call = mlp.working_set(p, cfg)
+    assert row + call > analysis._SLICE_BYTES
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before the budget was checked")
+
+    monkeypatch.setattr(mlp, "normal_block", no_sampling)
+    with pytest.raises(MemoryBudgetError):
+        run_replications(p, cfg, 0.0, 0.0, 2)
+    monkeypatch.delenv("MLPICARD_THREADS", raising=False)
+    assert main(["solve", "--problem", "bounded-nonlinear", "--dim", "100",
+                 "--depth", "5", "--samples", "16", "--quad-order", "2",
+                 "--replications", "2",
+                 "--out", str(tmp_path / "out.csv")]) == EXIT_PARTIAL
+    assert _spare_cores_back() == _workers.CORES - 1
+
+
+_SPAWN = ("import subprocess, sys; "
+          "sys.exit(subprocess.run(sys.argv[1:]).returncode)")
+_RSS_PROBE = """
+import resource, sys
+from mlpicard import MlpConfig, _workers, analysis, make_problem, run_replications
+from mlpicard.mlp import working_set
+problem, dim, variant, depth, m, reps = sys.argv[1:]
+p = make_problem(problem, dim=int(dim))
+cfg = MlpConfig(variant, int(depth), int(m), 4, seed=3)
+reps = int(reps)
+row, call = working_set(p, cfg)
+predicted = reps * row + min(reps, _workers.CORES) * call
+assert predicted <= analysis._SLICE_BYTES  # one slice per worker
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+run_replications(p, cfg, 0.0, 0.0, reps)
+grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) * 1024
+print(predicted, grown)
+"""
+
+
+@pytest.mark.parametrize("case", [
+    "bounded-nonlinear 25 modified 3 16 32",
+    "bounded-nonlinear 25 modified 3 16 128",
+    "bounded-nonlinear 1 original 5 4 64",
+])
+def test_predicted_bytes_bound_peak_rss(case):
+    # ru_maxrss is in KiB on Linux, and exec keeps the peak of the process
+    # that forked: a small python in between gives the probe a clean
+    # baseline instead of this test process's peak
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPAWN, sys.executable, "-c", _RSS_PROBE,
+         *case.split()],
+        capture_output=True, text=True, check=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
+    predicted, grown = map(int, proc.stdout.split())
+    assert grown <= predicted <= 3 * grown, (case, predicted, grown)
