@@ -32,15 +32,16 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _workers
 from .mlp import (REPLICATION_LEVEL, InvalidTimeError, MlpConfig,
-                  _check_time, _prepare_point, run_batch, working_set)
+                  _check_time, _is_int, _prepare_point, run_batch, working_set)
 from .problems import BsdeProblem
 from .quadrature import NonFiniteIntegrandError, build_rule
 from .sampling import StreamKey, child_digests
@@ -56,6 +57,11 @@ _NODE_HIT = 1e-13      # a point this close to a grid node takes its value
 # predicted bytes of the replication slices in flight together; the
 # benchmark's cells fit one slice per worker
 _SLICE_BYTES = 1 << 27
+
+try:
+    CORES = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity mask on this platform
+    CORES = os.cpu_count() or 1
 
 
 class MemoryBudgetError(ValueError):
@@ -269,8 +275,7 @@ def deterministic_picard(problem: BsdeProblem, depth: int, quad_order: int,
             f"problem {problem.name!r} declares generator_uses_z")
     if not 0 <= depth <= MAX_ORACLE_DEPTH:
         raise ValueError(f"depth must lie in 0..{MAX_ORACLE_DEPTH}, got {depth}")
-    if (not isinstance(space_quad, (int, np.integer))
-            or isinstance(space_quad, bool) or space_quad < 8):
+    if not _is_int(space_quad) or space_quad < 8:
         raise ValueError(
             f"space_quad must be an integer >= 8, got {space_quad!r}")
     t = _check_time(problem, t)
@@ -306,7 +311,8 @@ class RunStats:
 
 def run_replications(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
                      replications: int,
-                     keys: Optional[Sequence[StreamKey]] = None) -> RunStats:
+                     keys: Optional[Sequence[StreamKey]] = None,
+                     threads: Optional[int] = None) -> RunStats:
     """Run independent replications and reduce them in fixed order.
 
     Replication r draws its stream from the reserved child
@@ -314,17 +320,24 @@ def run_replications(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
     passing keys explicitly overrides the derivation (deliberately equal
     keys give std_y = 0).
 
-    The rows run in contiguous slices, one run_batch each: one slice per
-    spare core claimed from the process-wide pool plus the caller's, and
-    more when the slices in flight would exceed _SLICE_BYTES as predicted
-    by mlp.working_set.  Every row is reduced on its own, so slices move
-    no bit, like batch size, chunk budget and sampling tile size.  A
-    replication predicted to exceed the budget alone raises
-    MemoryBudgetError before any sampling.
+    The rows run in contiguous slices, one run_batch each, on at most
+    threads worker threads (None: every core of the affinity mask; any
+    value is capped at those cores), and in more slices when the slices in
+    flight would exceed _SLICE_BYTES as predicted by mlp.working_set.
+    With one worker the slices run on the calling thread.  Every row is
+    reduced on its own, so slices move no bit, like batch size, chunk
+    budget and sampling tile size.  After a slice fails no further slice
+    starts, and the first failure in slice order is raised.  A replication
+    predicted to exceed the budget alone raises MemoryBudgetError before
+    any sampling.
     """
     R = int(replications)
     if R < 2:
         raise ValueError(f"replications must be >= 2, got {replications}")
+    if threads is None:
+        threads = CORES
+    elif not _is_int(threads) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     if keys is not None:
         if len(keys) != R:
             raise ValueError("keys, when given, must supply one per replication")
@@ -338,13 +351,23 @@ def run_replications(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
         raise MemoryBudgetError(
             f"one replication is predicted to hold {row + call} bytes, "
             f"above the slice budget of {_SLICE_BYTES}")
-    helpers = _workers.claim(min(R, _SLICE_BYTES // (row + call)) - 1)
-    workers = 1 + helpers
+    workers = min(R, _SLICE_BYTES // (row + call), threads, CORES)
     per_slice = (_SLICE_BYTES // workers - call) // row
     slices = np.array_split(
         digests, min(R, workers * -(-R // (workers * per_slice))))
-    parts = _workers.fan_out(lambda dig: run_batch(problem, cfg, t, x, dig),
-                             slices, helpers)
+    if workers == 1:
+        parts = [run_batch(problem, cfg, t, x, dig) for dig in slices]
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(run_batch, problem, cfg, t, x, dig)
+                       for dig in slices]
+            try:
+                wait(futures, return_when=FIRST_EXCEPTION)
+            finally:
+                for f in futures:
+                    f.cancel()
+        # a slice is cancelled only after another failed, which raises here
+        parts = [f.result() for f in futures if not f.cancelled()]
     ys = np.concatenate([p[0] for p in parts])
     zs = None if parts[0][1] is None else np.concatenate([p[1] for p in parts])
     counters = reduce(operator.add, (p[2] for p in parts))

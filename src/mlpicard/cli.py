@@ -4,8 +4,9 @@ declared problem bounds, and query the deterministic d=1 oracle.
 Experiments come from JSON config files (schema_version 1) and/or flags;
 when both give a value for experiment content (problem, grids, query
 point, seed, ...) the config file wins.  Execution concerns (threads,
-output path, format) come from flags, with the MLPICARD_THREADS
-environment variable overriding --threads.
+output path, format) come from flags.  Cells run one after another; each
+cell's replications run in slices on at most --threads worker threads
+(default: every core).
 
 Config keys: schema_version, problem, overrides {dim, horizon, alpha},
 variants, depths, samples, quad_orders, cache (each a list or a scalar),
@@ -29,7 +30,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -38,14 +38,13 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, _workers
+from . import __version__
 from .analysis import (MissingBoundsError, TheoremNotApplicableError,
                        deterministic_picard, run_replications, theorem_bound)
 from .mlp import MlpConfig
 from .problems import make_problem, problem_names, validate_assumptions
 
 SCHEMA_VERSION = 1
-THREADS_ENV = "MLPICARD_THREADS"
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -250,7 +249,7 @@ def _build_experiment(args, config: Optional[dict]) -> Experiment:
     return exp
 
 
-def _run_cell(exp: Experiment, cell) -> dict:
+def _run_cell(exp: Experiment, cell, threads: Optional[int]) -> dict:
     variant, depth, m, q, cache_on = cell
     problem = make_problem(exp.problem, dim=exp.dim, horizon=exp.horizon,
                            alpha=exp.alpha)
@@ -258,7 +257,8 @@ def _run_cell(exp: Experiment, cell) -> dict:
                     quad_order=q, seed=exp.seed, estimate_z=exp.estimate_z,
                     cache=cache_on, strict_printed_form=exp.strict_printed_form)
     start = time.perf_counter()
-    stats = run_replications(problem, cfg, exp.t, exp.x, exp.replications)
+    stats = run_replications(problem, cfg, exp.t, exp.x, exp.replications,
+                             threads=threads)
     wall = time.perf_counter() - start
 
     row = {
@@ -364,14 +364,11 @@ def _write_results(rows, exp: Experiment, out: Optional[str], fmt: str):
         raise OutputError(f"cannot write results to {out!r}: {exc}") from exc
 
 
-def _thread_count(args) -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None or raw == "":
-        raw = getattr(args, "threads", None)
-    if raw is None:
-        return 1
-    if raw == "auto":
-        return _workers.CORES
+def _thread_count(args) -> Optional[int]:
+    """--threads as a count; None (every core) when unset or 'auto'."""
+    raw = args.threads
+    if raw is None or raw == "auto":
+        return None
     try:
         n = int(raw)
     except ValueError:
@@ -387,20 +384,12 @@ def _cmd_experiment(args, require_config: bool) -> int:
     config = _load_config(args.config) if args.config else None
     exp = _build_experiment(args, config)
     threads = _thread_count(args)
-    cells = exp.cells()
-
-    def work(cell):
+    rows, failures = [], []
+    for cell in exp.cells():
         try:
-            return cell, _run_cell(exp, cell), None
+            rows.append(_run_cell(exp, cell, threads))
         except Exception as exc:  # cell failures are enumerated, not fatal
-            return cell, None, exc
-
-    # at most `threads` cells at once, on cores no other caller has claimed
-    helpers = _workers.claim(min(threads, len(cells)) - 1)
-    results = _workers.fan_out(work, cells, helpers)
-
-    rows = [row for _, row, exc in results if exc is None]
-    failures = [(cell, exc) for cell, _, exc in results if exc is not None]
+            failures.append((cell, exc))
     _write_results(rows, exp, args.out, args.format)
     for cell, exc in failures:
         variant, depth, m, q, cache_on = cell
@@ -468,8 +457,8 @@ def _add_content_flags(p: argparse.ArgumentParser):
 def _add_exec_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--threads", default=None,
-                   help="cells at once, at most the cores: a count or "
-                        f"'auto' (env {THREADS_ENV} overrides)")
+                   help="most threads working at once, capped at the cores: "
+                        "a count or 'auto' (default: every core)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 

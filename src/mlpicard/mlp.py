@@ -12,10 +12,9 @@ Two estimators of the solution pair (y, z) at a space-time query point:
   point.  Because a level-(n-1) traversal contains level-(n-2) copies of
   itself at its own query point, the first such copy serves as the
   subtrahend: both generator arguments at a sampled point come out of ONE
-  recursion.  With cache=False the same keyed traversal is simply run a
-  second time to extract the subtrahend, which reproduces the identical
-  value while paying the redundant cost; y estimates are bit-equal either
-  way, only the counters move.
+  recursion.  With cache=False the same keyed traversal is run a second
+  time only to pay the redundant cost (it would reproduce the identical
+  value); y estimates are bit-equal either way, only the counters move.
 
 z estimates use the kernel-weighted forms: the terminal part is the
 control-variate expression (phi(x+W) - phi(x)) W / (T-t), and quadrature
@@ -49,8 +48,9 @@ bounds the working set of the chunk's normals, phi arguments and kernel
 products.  Results of both variants are therefore bit-identical under any
 thread count, batch size, chunk budget or sampling tile size, and so under
 any cut of the replications into slices: analysis.run_replications runs
-contiguous slices of rows, one run_batch each, on the calling thread and
-on spare cores, sized by the working set predicted by working_set.
+contiguous slices of rows, one run_batch each, on as many worker threads
+as its threads argument allows, sized by the working set predicted by
+working_set.
 """
 
 from __future__ import annotations
@@ -91,6 +91,11 @@ _TREE_VECTORS = 16                              # row vectors per tree row
 _CHUNK_ARRAYS = 4                               # chunk-sized arrays per call
 
 
+def _is_int(value) -> bool:
+    """True for Python and numpy integers; False for bools."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class InvalidTimeError(ValueError):
     """Query time outside [0, horizon), or a recursion tree whose narrowest
     time interval is not above SINGULARITY_FLOOR."""
@@ -112,6 +117,10 @@ class MlpConfig:
     def __post_init__(self):
         if self.variant not in ("original", "modified"):
             raise ValueError(f"variant must be original|modified, got {self.variant!r}")
+        for name in ("depth", "base_samples", "quad_order", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.depth <= MAX_DEPTH:
             raise ValueError(f"depth must lie in 0..{MAX_DEPTH}, got {self.depth}")
         if self.base_samples < 1:
@@ -307,9 +316,9 @@ def _base_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
 
 
 def _modified_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
-                    k: int, need_z: bool, need_pair: bool,
-                    record: bool) -> _FrameResult:
-    """Modified-scheme frame at depth k >= 1 for a batch of rows.
+                    k: int, need_z: bool, record: bool) -> _FrameResult:
+    """Modified-scheme frame at depth k >= 1 for a batch of rows; y_prev
+    and z_prev hold the first spine copy (the depth-0 zeros at k = 1).
 
     Stream layout per key: quadrature node j uses counters
     [j M d, (j+1) M d) for the displacing increments; the optional
@@ -322,20 +331,17 @@ def _modified_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
     nodes = _nodes(ctx, s)
     if k == 1:
         res = _base_frame(ctx, dig, xs, s, nodes, M, M * d, need_z)
-        if need_pair:
-            res = res._replace(y_prev=np.zeros(B),
-                               z_prev=np.zeros((B, d)) if need_z else None)
-        return res
+        return res._replace(y_prev=np.zeros(B),
+                            z_prev=np.zeros((B, d)) if need_z else None)
 
     reps = np.arange(M)
 
     spine_dig = child_digests(dig, k - 1, _SPINE_SLOT, reps).reshape(-1)
     spine_xs = np.repeat(xs, M, axis=0)
-    spine = _modified_frame(ctx, spine_dig, spine_xs, s, k - 1,
-                            need_z, False, record)
+    spine = _modified_frame(ctx, spine_dig, spine_xs, s, k - 1, need_z, record)
     y_mat = spine.y.reshape(B, M)
     y = y_mat.mean(axis=1)
-    y_prev = y_mat[:, 0].copy() if need_pair else None
+    y_prev = y_mat[:, 0].copy()
     z = z_prev = None
     if need_z:
         z_mat = spine.z.reshape(B, M, d)
@@ -347,28 +353,23 @@ def _modified_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
             z = (z_mat * wt).mean(axis=1) / tau
         else:
             z = z_mat.mean(axis=1)
-        if need_pair:
-            z_prev = z_mat[:, 0].copy()
+        z_prev = z_mat[:, 0].copy()
 
     for node in nodes:
         j, t_j, _, dt = node
         wv, pts = _displace(ctx, dig, xs, j * M * d, M, dt)
         pt_dig = child_digests(dig, k - 1, _POINT_SLOT + j, reps).reshape(-1)
-        if k == 2 or ctx.cfg.cache:
-            # one traversal yields both arguments; at k = 2 the subtrahend
-            # is the known depth-0 value, so nothing is reused
-            pair = _modified_frame(ctx, pt_dig, pts, t_j, k - 1,
-                                   ctx.uses_z, True, record)
-            if k > 2:
+        # one traversal yields both arguments; at k = 2 the subtrahend is
+        # the known depth-0 value, so nothing is reused
+        pair = _modified_frame(ctx, pt_dig, pts, t_j, k - 1, ctx.uses_z, record)
+        if k > 2:
+            if ctx.cfg.cache:
                 ctx.counters.cache_hits += B * M
-        else:
-            # cache off: run the identical traversal a second time and read
-            # the subtrahend out of the replay; values match bit for bit
-            first = _modified_frame(ctx, pt_dig, pts, t_j, k - 1,
-                                    ctx.uses_z, False, record)
-            replay = _modified_frame(ctx, pt_dig, pts, t_j, k - 1,
-                                     ctx.uses_z, True, False)
-            pair = first._replace(y_prev=replay.y_prev, z_prev=replay.z_prev)
+            else:
+                # cache off: pay for the second traversal the cache saves;
+                # it re-reads the same keys, so its values are pair's
+                _modified_frame(ctx, pt_dig, pts, t_j, k - 1, ctx.uses_z,
+                                False)
         y, z = _correct(ctx, node, wv, pair[:2], pair[2:], y, z, record)
     return _FrameResult(y, z, y_prev, z_prev)
 
@@ -468,30 +469,39 @@ def _root_digests(cfg: MlpConfig, key: Optional[StreamKey]) -> np.ndarray:
     return np.array([root.digest], dtype=np.uint64)
 
 
+def _evaluate(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
+              digests: np.ndarray, depth: int, variant: str):
+    """Check the inputs, run the variant's depth frame once per digest row
+    and check that the values are finite; z and z_prev are None unless
+    cfg.estimate_z.  Returns (result, ctx)."""
+    check_digests(digests)
+    t = _check_time(problem, t)
+    _check_tree(problem, cfg, t, depth)
+    xv = _prepare_point(problem, x)
+    B = digests.size
+    ctx = _Ctx(problem, cfg, groups=B)
+    need_z = cfg.estimate_z or ctx.uses_z
+    xs = np.tile(xv, (B, 1))
+    if depth == 0:
+        res = _zeros_result(B, ctx.d, need_z)
+    elif variant == "modified":
+        res = _modified_frame(ctx, digests, xs, t, depth, need_z, True)
+    else:
+        res = _original_frame(ctx, digests, xs, t, depth, need_z)
+    if not cfg.estimate_z:
+        res = res._replace(z=None, z_prev=None)
+    _check_finite(*res)
+    return res, ctx
+
+
 def run_batch(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
               digests: np.ndarray):
     """Evaluate one estimator per digest row; the workhorse behind the
     public entry points.  Returns (y, z or None, counters, diff) where y
     and diff have one entry per row and counters are totals over all rows.
     """
-    check_digests(digests)
-    t = _check_time(problem, t)
-    _check_tree(problem, cfg, t, cfg.depth)
-    xv = _prepare_point(problem, x)
-    B = digests.size
-    ctx = _Ctx(problem, cfg, groups=B)
-    need_z = cfg.estimate_z or ctx.uses_z
-    xs = np.tile(xv, (B, 1))
-    if cfg.depth == 0:
-        res = _zeros_result(B, ctx.d, need_z)
-    elif cfg.variant == "modified":
-        res = _modified_frame(ctx, digests, xs, t, cfg.depth,
-                              need_z, False, True)
-    else:
-        res = _original_frame(ctx, digests, xs, t, cfg.depth, need_z)
-    z = res.z if cfg.estimate_z else None
-    _check_finite(res.y, z)
-    return res.y, z, ctx.counters, ctx.diff
+    res, ctx = _evaluate(problem, cfg, t, x, digests, cfg.depth, cfg.variant)
+    return res.y, res.z, ctx.counters, ctx.diff
 
 
 def estimate(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
@@ -518,20 +528,13 @@ def paired_recursion(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
     k = cfg.depth if depth is None else depth
     if k < 1 or k > MAX_DEPTH:
         raise ValueError(f"paired depth must lie in 1..{MAX_DEPTH}, got {k}")
-    t = _check_time(problem, t)
-    _check_tree(problem, cfg, t, k)
-    xv = _prepare_point(problem, x)
-    ctx = _Ctx(problem, cfg, groups=1)
-    need_z = cfg.estimate_z or ctx.uses_z
-    dig = _root_digests(cfg, key)
-    res = _modified_frame(ctx, dig, xv[None, :], t, k, need_z, True, True)
-    z, z_prev = (res.z, res.z_prev) if cfg.estimate_z else (None, None)
-    _check_finite(res.y, res.y_prev, z, z_prev)
+    res, ctx = _evaluate(problem, cfg, t, x, _root_digests(cfg, key), k,
+                         "modified")
     return PairEstimate(
         y=float(res.y[0]),
         y_prev=float(res.y_prev[0]),
-        z=z[0].copy() if z is not None else None,
-        z_prev=z_prev[0].copy() if z_prev is not None else None,
+        z=res.z[0].copy() if res.z is not None else None,
+        z_prev=res.z_prev[0].copy() if res.z_prev is not None else None,
         cost=ctx.counters,
         diff_accum=float(ctx.diff[0]),
     )

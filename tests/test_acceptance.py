@@ -11,7 +11,6 @@ import contextlib
 import csv
 import json
 import math
-import threading
 import time
 
 import numpy as np
@@ -20,7 +19,6 @@ import pytest
 from mlpicard import (MlpConfig, build_rule, deterministic_picard, estimate,
                       integrate, make_problem, quadrature_error_bound,
                       run_replications, theorem_bound)
-from mlpicard import _workers
 from mlpicard.cli import main as cli_main
 
 EPS = np.finfo(float).eps
@@ -252,9 +250,8 @@ def test_09_cost_recurrence_and_growth_rate():
             f"{ratio:.2f} within factor 2 of MQ={m * q}")
 
 
-def test_10_thread_count_invariance(tmp_path, monkeypatch):
+def test_10_thread_count_invariance(tmp_path):
     t0 = time.perf_counter()
-    monkeypatch.delenv("MLPICARD_THREADS", raising=False)
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({
         "schema_version": 1,
@@ -270,32 +267,22 @@ def test_10_thread_count_invariance(tmp_path, monkeypatch):
              "--variant", "both", "--depth", "3", "--samples", "4",
              "--replications", "12", "--estimate-z", "--seed", "5"]
     outputs = {}
-    # a sweep at 1 and auto cell threads; a one-cell solve whose rows run
-    # on no spare core and on every spare core
-    for label, argv, spare in (
-            ("serial", ["sweep", "--config", str(config), "--threads", "1"],
-             None),
-            ("auto", ["sweep", "--config", str(config), "--threads", "auto"],
-             None),
-            ("solve, no spare core", solve, 0),
-            ("solve, spare cores", solve, None)):
-        out = tmp_path / "out.csv"
-        with monkeypatch.context() as m:
-            if spare is not None:
-                m.setattr(_workers, "_spare", threading.Semaphore(spare))
-            rc = cli_main(argv + ["--out", str(out)])
-        assert rc == 0
-        with open(out, newline="") as fh:
-            # wall_time_s is the last column and the only one allowed to differ
-            outputs[label] = [row[:-1] for row in csv.reader(fh)]
-    sweep_same = outputs["serial"] == outputs["auto"]
-    solve_same = (outputs["solve, no spare core"]
-                  == outputs["solve, spare cores"])
-    _finish(10, "output invariant to worker thread count", 60.0, t0,
-            sweep_same and solve_same,
-            f"{len(outputs['serial']) - 1} sweep rows byte-identical at 1 vs "
-            f"auto threads, {len(outputs['solve, spare cores']) - 1} solve "
-            "rows at no vs every spare core, wall time excluded")
+    # a sweep and a one-cell-per-variant solve, each at 1 and auto threads
+    for label, argv in (("sweep", ["sweep", "--config", str(config)]),
+                        ("solve", solve)):
+        for threads in ("1", "auto"):
+            out = tmp_path / "out.csv"
+            assert cli_main(argv + ["--threads", threads,
+                                    "--out", str(out)]) == 0
+            with open(out, newline="") as fh:
+                # wall_time_s is the last column and the only one that differs
+                outputs[label, threads] = [row[:-1] for row in csv.reader(fh)]
+    same = all(outputs[label, "1"] == outputs[label, "auto"]
+               for label in ("sweep", "solve"))
+    _finish(10, "output invariant to worker thread count", 60.0, t0, same,
+            f"{len(outputs['sweep', '1']) - 1} sweep rows and "
+            f"{len(outputs['solve', '1']) - 1} solve rows byte-identical at "
+            "1 vs auto threads, wall time excluded")
 
 
 def test_11_factorial_and_binomial_inequalities():

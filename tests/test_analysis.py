@@ -319,6 +319,11 @@ def test_replications_validation():
     with pytest.raises(ValueError):
         run_replications(p, cfg, 0.0, 0.0, replications=4,
                          keys=[StreamKey.from_seed(0)] * 3)
+    for threads in (0, -1, True, 2.0, "2"):
+        with pytest.raises(ValueError, match="threads"):
+            run_replications(p, cfg, 0.0, 0.0, 4, threads=threads)
+    assert (run_replications(p, cfg, 0.0, 0.0, 4, threads=np.int64(1))
+            == run_replications(p, cfg, 0.0, 0.0, 4))
 
 
 def test_equal_keys_give_zero_std():

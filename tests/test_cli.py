@@ -214,7 +214,7 @@ def test_cache_toggle_sweep(tmp_path):
     assert ratio <= 0.67
 
 
-def test_thread_count_does_not_change_results(tmp_path, monkeypatch):
+def test_thread_count_does_not_change_results(tmp_path):
     cfg = write_config(tmp_path, {
         "schema_version": SCHEMA_VERSION,
         "problem": "linear-y",
@@ -224,11 +224,9 @@ def test_thread_count_does_not_change_results(tmp_path, monkeypatch):
         "seed": 11,
     })
     serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-    monkeypatch.delenv("MLPICARD_THREADS", raising=False)
     assert main(["sweep", "--config", cfg, "--threads", "1",
                  "--out", str(serial)]) == EXIT_OK
-    monkeypatch.setenv("MLPICARD_THREADS", "4")
-    assert main(["sweep", "--config", cfg, "--threads", "1",
+    assert main(["sweep", "--config", cfg, "--threads", "4",
                  "--out", str(threaded)]) == EXIT_OK
     skip = {"wall_time_s"}
     for a, b in zip(read_csv(serial), read_csv(threaded)):

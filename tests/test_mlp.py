@@ -320,6 +320,16 @@ def test_config_validation():
         MlpConfig("modified", 2, 2, 65)
     with pytest.raises(ValueError):
         MlpConfig("modified", 2, 2, 2, seed=-1)
+    # depth=2.5 used to fail mid-run and depth=True to run as depth 1
+    for name in ("depth", "base_samples", "quad_order", "seed"):
+        for bad in (2.5, True, "2"):
+            fields = dict(variant="modified", depth=2, base_samples=2,
+                          quad_order=2, seed=0)
+            fields[name] = bad
+            with pytest.raises(ValueError, match=name):
+                MlpConfig(**fields)
+    MlpConfig("modified", np.int64(2), np.int32(2), np.uint8(2),
+              seed=np.uint64(7))
 
 
 def test_point_validation():

@@ -1,10 +1,10 @@
-"""Replication slices and CLI cells on the process-wide worker pool.
+"""Replication slices on a per-call pool of worker threads.
 
-Run under ``taskset -c 0`` these tests cover the path with no spare core;
-the test that needs a second core is skipped there.
+Run under ``taskset -c 0`` these tests cover the path on which every slice
+runs on the calling thread; the test that needs a second core is skipped
+there.
 """
 
-import collections
 import dataclasses
 import itertools
 import json
@@ -12,14 +12,15 @@ import os
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mlpicard import (MemoryBudgetError, MlpConfig, NonFiniteIntegrandError,
-                      _workers, analysis, make_problem, mlp, run_replications)
+                      analysis, make_problem, mlp, run_replications)
+from mlpicard.analysis import CORES
 from mlpicard.cli import EXIT_OK, EXIT_PARTIAL, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -57,79 +58,53 @@ class _Calls:
         monkeypatch.setattr(analysis, "run_batch", counted)
 
 
-def _spare_cores_back():
-    got = _workers.claim(_workers.CORES)
-    for _ in range(got):
-        _workers._spare.release()
-    return got
-
-
-def test_fan_out_runs_every_item_once_in_order(monkeypatch):
-    # more threads than cores and a 1 us switch interval: a lost update of
-    # the shared index would run an item twice or skip one
-    helpers = 2 * _workers.CORES + 2
-    pool = ThreadPoolExecutor(max_workers=helpers)
-    monkeypatch.setattr(_workers, "_pool", pool)
-    monkeypatch.setattr(_workers, "_spare", threading.Semaphore(0))
-    lock = threading.Lock()
-    seen = collections.Counter()
-    results = []
-
-    def square(i):
-        with lock:
-            seen[i] += 1
-        return i * i
-
-    def run():
-        results.extend(_workers.fan_out(square, list(range(3000)), helpers))
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        caller = threading.Thread(target=run)
-        caller.start()
-        caller.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-        pool.shutdown()
-    assert not caller.is_alive()
-    assert results == [i * i for i in range(3000)]
-    assert len(seen) == 3000 and set(seen.values()) == {1}
-
-
 def test_slices_are_bit_neutral(monkeypatch):
-    # no spare core (one slice), every spare core, one row per slice on one
-    # thread, and one row per slice on every core give the same bits
+    # one thread, every core, more threads than cores, one row per slice on
+    # one thread, and one row per slice on every core give the same bits
     p = make_problem("bounded-nonlinear", dim=2)
     R = 6
     for variant in ("modified", "original"):
         cfg = MlpConfig(variant, 2, 3, 2, seed=5, estimate_z=True)
         row, call = mlp.working_set(p, cfg)
         runs = {}
-        for label, spare, budget in (
-                ("no spare core", 0, None),
-                ("every spare core", None, None),
-                ("row slices", None, row + call),
-                ("row slices on every core", None,
-                 _workers.CORES * (row + call))):
-            if spare is not None:
-                monkeypatch.setattr(_workers, "_spare",
-                                    threading.Semaphore(spare))
+        for label, threads, budget, slices in (
+                ("one thread", 1, None, 1),
+                ("every core", CORES, None, min(R, CORES)),
+                ("more threads than cores", CORES + 3, None, min(R, CORES)),
+                ("row slices", 1, row + call, R),
+                ("row slices on every core", None, CORES * (row + call), R)):
             if budget is not None:
                 monkeypatch.setattr(analysis, "_SLICE_BYTES", budget)
             calls = _Calls(monkeypatch)
-            runs[label] = _bits(run_replications(p, cfg, 0.1, 0.2, R))
+            runs[label] = _bits(run_replications(p, cfg, 0.1, 0.2, R,
+                                                 threads=threads))
             monkeypatch.undo()
-            expected = {"no spare core": 1,
-                        "every spare core": min(R, _workers.CORES),
-                        "row slices": R, "row slices on every core": R}
-            assert calls.calls == expected[label], label
+            assert calls.calls == slices, label
+            assert len(calls.threads) <= min(threads or CORES, CORES), label
+            if threads == 1:
+                assert calls.threads == {threading.get_ident()}, label
         assert len(set(map(repr, runs.values()))) == 1, runs
-    assert _spare_cores_back() == _workers.CORES - 1
+
+
+def test_threads_one_runs_on_the_calling_thread(tmp_path, monkeypatch):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "schema_version": 1, "problem": "bounded-nonlinear",
+        "variants": ["original", "modified"], "depths": [2, 3],
+        "samples": 4, "quad_orders": 2, "replications": 16, "seed": 3}))
+    for argv in (["solve", "--problem", "bounded-nonlinear", "--depth", "2",
+                  "--samples", "4", "--replications", "8"],
+                 ["sweep", "--config", str(config)]):
+        with monkeypatch.context() as m:
+            calls = _Calls(m)
+            assert main(argv + ["--threads", "1",
+                                "--out", str(tmp_path / "out.csv")]) == EXIT_OK
+        assert calls.calls >= 1, argv
+        assert calls.threads == {threading.get_ident()}, argv
 
 
 def test_sweep_runs_no_more_batches_than_cores(tmp_path, monkeypatch):
-    monkeypatch.delenv("MLPICARD_THREADS", raising=False)
+    # cells run one after another and --threads 2 caps each cell's slices
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({
         "schema_version": 1, "problem": "bounded-nonlinear",
@@ -139,15 +114,13 @@ def test_sweep_runs_no_more_batches_than_cores(tmp_path, monkeypatch):
     assert main(["sweep", "--config", str(config), "--threads", "2",
                  "--out", str(tmp_path / "out.csv")]) == EXIT_OK
     assert calls.calls >= 4
-    assert calls.most <= _workers.CORES
-    assert _spare_cores_back() == _workers.CORES - 1
+    assert calls.most <= min(2, CORES)
 
 
-@pytest.mark.skipif(_workers.CORES < 2, reason="needs a second core")
+@pytest.mark.skipif(CORES < 2, reason="needs a second core")
 def test_one_cell_solve_uses_spare_cores(tmp_path, monkeypatch):
     # the first two slices wait for each other, so the test fails (with a
     # broken barrier) unless a second thread takes a slice
-    monkeypatch.delenv("MLPICARD_THREADS", raising=False)
     barrier = threading.Barrier(2, timeout=20)
     order = itertools.count(1)
 
@@ -161,29 +134,40 @@ def test_one_cell_solve_uses_spare_cores(tmp_path, monkeypatch):
 
     calls = _Calls(monkeypatch, before=meet)
     assert main(["solve", "--problem", "bounded-nonlinear", "--depth", "2",
-                 "--samples", "4", "--replications", "8", "--threads", "1",
+                 "--samples", "4", "--replications", "8", "--threads", "2",
                  "--out", str(tmp_path / "out.csv")]) == EXIT_OK
     assert not barrier.broken
-    assert len(calls.threads) > 1
+    assert len(calls.threads) == 2
 
 
-def test_failing_slice_raises_and_returns_cores(monkeypatch):
+def test_failing_slice_raises_and_starts_no_new_slice(monkeypatch):
     p = make_problem("bounded-nonlinear")
     nan = dataclasses.replace(
         p, generator=lambda t, y, z: np.full(np.shape(y), np.nan))
-    order = itertools.count(1)
-
-    def nan_in_one_slice(problem, *rest):
-        return (nan if next(order) == 2 else problem,) + rest
-
-    # one row per slice, on every core
+    R = 16
     cfg = MlpConfig("modified", 2, 3, 2, seed=1)
-    monkeypatch.setattr(analysis, "_SLICE_BYTES",
-                        _workers.CORES * sum(mlp.working_set(p, cfg)))
-    _Calls(monkeypatch, before=nan_in_one_slice)
-    with pytest.raises(NonFiniteIntegrandError):
-        run_replications(p, cfg, 0.0, 0.0, 8)
-    assert _spare_cores_back() == _workers.CORES - 1
+    for threads in (1, CORES):
+        # one row per slice
+        monkeypatch.setattr(analysis, "_SLICE_BYTES",
+                            threads * sum(mlp.working_set(p, cfg)))
+        order = itertools.count(1)
+
+        def nan_in_slice_two(problem, *rest):
+            n = next(order)
+            if n > 2:
+                # later slices sleep without the interpreter lock, so the
+                # caller cancels the rest before a worker takes another
+                time.sleep(0.05)
+            return (nan if n == 2 else problem,) + rest
+
+        with monkeypatch.context() as m:
+            calls = _Calls(m, before=nan_in_slice_two)
+            with pytest.raises(NonFiniteIntegrandError):
+                run_replications(p, cfg, 0.0, 0.0, R, threads=threads)
+        # on workers, each may take one slice more before the cancel
+        limit = 2 if threads == 1 else 2 + threads
+        assert calls.calls <= limit, (threads, calls.calls)
+        assert calls.running == 0
 
 
 def test_replication_over_budget_refused_before_sampling(tmp_path,
@@ -200,26 +184,24 @@ def test_replication_over_budget_refused_before_sampling(tmp_path,
     monkeypatch.setattr(mlp, "normal_block", no_sampling)
     with pytest.raises(MemoryBudgetError):
         run_replications(p, cfg, 0.0, 0.0, 2)
-    monkeypatch.delenv("MLPICARD_THREADS", raising=False)
     assert main(["solve", "--problem", "bounded-nonlinear", "--dim", "100",
                  "--depth", "5", "--samples", "16", "--quad-order", "2",
                  "--replications", "2",
                  "--out", str(tmp_path / "out.csv")]) == EXIT_PARTIAL
-    assert _spare_cores_back() == _workers.CORES - 1
 
 
 _SPAWN = ("import subprocess, sys; "
           "sys.exit(subprocess.run(sys.argv[1:]).returncode)")
 _RSS_PROBE = """
 import resource, sys
-from mlpicard import MlpConfig, _workers, analysis, make_problem, run_replications
+from mlpicard import MlpConfig, analysis, make_problem, run_replications
 from mlpicard.mlp import working_set
 problem, dim, variant, depth, m, reps = sys.argv[1:]
 p = make_problem(problem, dim=int(dim))
 cfg = MlpConfig(variant, int(depth), int(m), 4, seed=3)
 reps = int(reps)
 row, call = working_set(p, cfg)
-predicted = reps * row + min(reps, _workers.CORES) * call
+predicted = reps * row + min(reps, analysis.CORES) * call
 assert predicted <= analysis._SLICE_BYTES  # one slice per worker
 base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 run_replications(p, cfg, 0.0, 0.0, reps)
