@@ -3,15 +3,18 @@ declared problem bounds, and query the deterministic d=1 oracle.
 
 Experiments come from JSON config files (schema_version 1) and/or flags;
 when both give a value for experiment content (problem, grids, query
-point, seed, ...) the config file wins.  Execution concerns (threads,
-output path, format) come from flags.  Cells run one after another; each
-cell's replications run in slices on at most --threads worker threads
-(default: every core).
+point, seed, ...) the config file wins, and a value that neither gives
+takes its default from Experiment.  Execution concerns (threads, output
+path, format) come from flags.  Cells run one after another; each cell's
+replications run in slices on at most --threads worker threads (default:
+every core).
 
-Config keys: schema_version, problem, overrides {dim, horizon, alpha},
-variants, depths, samples, quad_orders, cache (each a list or a scalar),
-t, x (scalar broadcast to d, or a length-d list), replications, seed,
-estimate_z, strict_printed_form, theorem_bounds.
+Config keys: schema_version, plus one key per Experiment field, with
+dim, horizon and alpha inside an "overrides" object.  The grid keys
+(variants, depths, samples, quad_orders, cache) take a list or a scalar;
+x takes a scalar (broadcast to d) or a length-d list.  Values must have
+the field's type: integers are not booleans or floats, and booleans are
+JSON true/false.
 
 CSV contract: the fixed column order in COLUMNS, floats with 17
 significant digits, booleans as true/false, vector values joined with
@@ -20,9 +23,11 @@ the cell's problem.  Writing CSV to a file also writes <out>.meta.json
 with the resolved experiment, seed, package version, and column order.
 With --format json everything goes into one JSON document.
 
-Exit codes: 0 all cells completed; 1 some cells failed (completed rows
-are still written, failures are enumerated on stderr); 2 bad config or
-usage; 3 unknown problem name; 4 output could not be written.
+Exit codes: 0 all cells completed (validate: no declared bound was
+violated); 1 some cells failed (completed rows are still written,
+failures are enumerated on stderr), or validate found a declared bound
+violated; 2 bad config or usage; 3 unknown problem name; 4 output could
+not be written.
 """
 
 from __future__ import annotations
@@ -32,16 +37,16 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import product
-from typing import Optional
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .analysis import (MissingBoundsError, TheoremNotApplicableError,
                        deterministic_picard, run_replications, theorem_bound)
-from .mlp import MlpConfig
+from .mlp import MlpConfig, _check_time, _prepare_point
 from .problems import make_problem, problem_names, validate_assumptions
 
 SCHEMA_VERSION = 1
@@ -62,13 +67,6 @@ COLUMNS = [
     "wall_time_s",
 ]
 
-_CONFIG_KEYS = {
-    "schema_version", "problem", "overrides", "variants", "depths",
-    "samples", "quad_orders", "cache", "t", "x", "replications", "seed",
-    "estimate_z", "strict_printed_form", "theorem_bounds",
-}
-_OVERRIDE_KEYS = {"dim", "horizon", "alpha"}
-
 
 class ConfigError(ValueError):
     """Unusable config file or flag combination."""
@@ -82,58 +80,85 @@ class OutputError(OSError):
     """Result file could not be written."""
 
 
+# field metadata: the config key sits inside "overrides"
+_OVERRIDE = {"override": True}
+
+
 @dataclass
 class Experiment:
-    """Fully resolved experiment: a grid of estimator cells at one query."""
+    """Fully resolved experiment: a grid of estimator cells at one query.
+
+    The one declaration of an experiment: the fields are the config keys
+    (those marked _OVERRIDE sit under "overrides"), the annotations are
+    the value types, and the defaults apply when neither the config nor a
+    flag gives a value.
+    """
 
     problem: str
-    dim: int = 1
-    horizon: float = 1.0
-    alpha: float = 0.3
-    variants: list = field(default_factory=lambda: ["modified"])
-    depths: list = field(default_factory=lambda: [3])
-    samples: list = field(default_factory=lambda: [8])
-    quad_orders: list = field(default_factory=lambda: [4])
-    cache: list = field(default_factory=lambda: [True])
+    dim: int = field(default=1, metadata=_OVERRIDE)
+    horizon: float = field(default=1.0, metadata=_OVERRIDE)
+    alpha: float = field(default=0.3, metadata=_OVERRIDE)
+    variants: list[str] = field(default_factory=lambda: ["modified"])
+    depths: list[int] = field(default_factory=lambda: [3])
+    samples: list[int] = field(default_factory=lambda: [8])
+    quad_orders: list[int] = field(default_factory=lambda: [4])
+    cache: list[bool] = field(default_factory=lambda: [True])
     t: float = 0.0
-    x: object = 0.0
+    x: float | list[float] = 0.0
     replications: int = 16
     seed: int = 0
     estimate_z: bool = False
     strict_printed_form: bool = False
     theorem_bounds: bool = True
 
-    def cells(self):
-        return list(product(self.variants, self.depths, self.samples,
-                            self.quad_orders, self.cache))
+    def build_problem(self):
+        return make_problem(self.problem, dim=self.dim, horizon=self.horizon,
+                            alpha=self.alpha)
 
     def resolved(self) -> dict:
         d = asdict(self)
-        d["x"] = list(np.atleast_1d(np.asarray(self.x, dtype=float)).tolist())
+        d["x"] = np.atleast_1d(np.asarray(self.x, dtype=float)).tolist()
         d["schema_version"] = SCHEMA_VERSION
         return d
 
 
-def _as_list(value, kind, key):
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-    else:
-        items = [value]
-    if not items:
-        raise ConfigError(f"config key {key!r} must be a non-empty list")
-    out = []
-    for item in items:
-        if kind is bool:
-            if not isinstance(item, bool):
-                raise ConfigError(f"config key {key!r} expects booleans")
-            out.append(item)
-        elif kind is int:
-            if isinstance(item, bool) or not isinstance(item, int):
-                raise ConfigError(f"config key {key!r} expects integers")
-            out.append(item)
-        else:
-            out.append(kind(item))
-    return out
+_FIELDS = fields(Experiment)
+_TYPES = get_type_hints(Experiment)
+_OVERRIDE_KEYS = {f.name for f in _FIELDS if f.metadata.get("override")}
+_CONFIG_KEYS = ({f.name for f in _FIELDS} - _OVERRIDE_KEYS
+                | {"schema_version", "overrides"})
+# flags whose dest is not the name of the field they set
+_FLAG_DEST = {"variants": "variant", "depths": "depth",
+              "quad_orders": "quad_order", "cache": "no_cache"}
+_KIND_NAMES = {bool: "booleans", int: "integers", float: "numbers",
+               str: "strings"}
+# CSV column -> TheoremBound field
+_BOUND_COLUMNS = {"bias_bound": "bias_bound",
+                  "variance_bound": "variance_bound",
+                  "quad_term": "quadrature_term", "mc_term": "mc_term",
+                  "picard_term": "picard_term"}
+
+
+def _typed(key: str, value, kind):
+    """value checked against the annotation kind: integers are not bools
+    or floats, booleans are JSON booleans, numbers come back as float, and
+    a list kind also takes a scalar."""
+    if get_origin(kind) is list:
+        items = list(value) if isinstance(value, (list, tuple)) else [value]
+        if not items:
+            raise ConfigError(f"config key {key!r} must be a non-empty list")
+        return [_typed(key, item, get_args(kind)[0]) for item in items]
+    if get_origin(kind) is not None:  # float | list[float]
+        scalar, vector = get_args(kind)
+        return _typed(key, value, vector if isinstance(value, (list, tuple))
+                      else scalar)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    ok = {bool: isinstance(value, bool), str: isinstance(value, str),
+          int: number and isinstance(value, int), float: number}[kind]
+    if not ok:
+        raise ConfigError(f"config key {key!r} expects {_KIND_NAMES[kind]}, "
+                          f"got {value!r}")
+    return float(value) if kind is float else value
 
 
 def _load_config(path: str) -> dict:
@@ -164,144 +189,82 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _parse_x(raw):
-    if raw is None:
-        return None
-    if isinstance(raw, str):
-        parts = [p for p in raw.split(",") if p.strip() != ""]
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse x value {raw!r}") from exc
-        if not vals:
-            raise ConfigError(f"cannot parse x value {raw!r}")
-        return vals[0] if len(vals) == 1 else vals
-    return raw
+def _parse_x(raw: str):
+    parts = [p for p in raw.split(",") if p.strip() != ""]
+    try:
+        vals = [float(p) for p in parts]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse x value {raw!r}") from exc
+    if not vals:
+        raise ConfigError(f"cannot parse x value {raw!r}")
+    return vals[0] if len(vals) == 1 else vals
 
 
-def _pick(source: dict, key: str, flag, fallback):
-    """source[key] when present, else the flag when given, else fallback."""
-    if key in source:
-        return source[key]
-    return fallback if flag is None else flag
-
-
-def _check_problem(name: str) -> None:
+def _resolve(args, config: dict) -> Experiment:
+    """Each field from the config, else from its flag, else its default,
+    checked against the field's annotation."""
+    overrides = config.get("overrides", {})
+    values = {}
+    for f in _FIELDS:
+        source = overrides if f.name in _OVERRIDE_KEYS else config
+        if f.name in source:
+            value = source[f.name]
+        else:
+            value = getattr(args, _FLAG_DEST.get(f.name, f.name), None)
+            if value is None:
+                continue
+            if f.name == "x":
+                value = _parse_x(value)
+            elif value == "both":  # --variant both
+                value = ["original", "modified"]
+        values[f.name] = _typed(f.name, value, _TYPES[f.name])
+    name = values.get("problem")
+    if name is None:
+        raise ConfigError("no problem name given (flag --problem or config)")
     if name not in problem_names():
         raise UnknownProblemError(
             f"unknown problem {name!r}; known: {', '.join(problem_names())}")
+    return Experiment(**values)
 
 
-def _build_experiment(args, config: Optional[dict]) -> Experiment:
-    config = config or {}
-    overrides = config.get("overrides", {})
-    flag = vars(args).get
-    name = _pick(config, "problem", flag("problem"), None)
-    if name is None:
-        raise ConfigError("no problem name given (flag --problem or config)")
-    _check_problem(name)
-
-    variant_flag = flag("variant")
-    if variant_flag == "both":
-        variant_flag = ["original", "modified"]
-    cache_flag = [False] if flag("no_cache") else None
-
-    exp = Experiment(
-        problem=name,
-        dim=int(_pick(overrides, "dim", flag("dim"), 1)),
-        horizon=float(_pick(overrides, "horizon", flag("horizon"), 1.0)),
-        alpha=float(_pick(overrides, "alpha", flag("alpha"), 0.3)),
-        variants=_as_list(_pick(config, "variants", variant_flag, "modified"),
-                          str, "variants"),
-        depths=_as_list(_pick(config, "depths", flag("depth"), 3), int, "depths"),
-        samples=_as_list(_pick(config, "samples", flag("samples"), 8), int, "samples"),
-        quad_orders=_as_list(_pick(config, "quad_orders", flag("quad_order"), 4),
-                             int, "quad_orders"),
-        cache=_as_list(_pick(config, "cache", cache_flag, True), bool, "cache"),
-        t=float(_pick(config, "t", flag("t"), 0.0)),
-        x=_parse_x(_pick(config, "x", _parse_x(flag("x")), 0.0)),
-        replications=int(_pick(config, "replications", flag("replications"), 16)),
-        seed=int(_pick(config, "seed", flag("seed"), 0)),
-        estimate_z=bool(_pick(config, "estimate_z", flag("estimate_z"), False)),
-        strict_printed_form=bool(_pick(config, "strict_printed_form",
-                                       flag("strict_printed_form"), False)),
-        theorem_bounds=bool(_pick(config, "theorem_bounds",
-                                  flag("theorem_bounds"), True)),
-    )
-    for variant in exp.variants:
-        if variant not in ("original", "modified"):
-            raise ConfigError(f"unknown variant {variant!r}")
+def _build_experiment(args, config: dict):
+    """The experiment, its problem and one MlpConfig per grid cell, each
+    built once; any invalid value is a ConfigError before a cell runs."""
+    exp = _resolve(args, config)
     if exp.replications < 2:
         raise ConfigError("replications must be >= 2")
-    if not 0.0 <= exp.t < exp.horizon:
-        raise ConfigError(f"t must lie in [0, {exp.horizon}), got {exp.t}")
-    xv = np.atleast_1d(np.asarray(exp.x, dtype=float))
-    if xv.size not in (1, exp.dim):
-        raise ConfigError(f"x must be a scalar or have {exp.dim} entries")
-    # constructing every cell config up front surfaces invalid grids early
-    for variant, depth, m, q, cache_on in exp.cells():
-        try:
-            MlpConfig(variant=variant, depth=depth, base_samples=m,
-                      quad_order=q, seed=exp.seed, cache=cache_on)
-        except ValueError as exc:
-            raise ConfigError(f"invalid grid cell (depth={depth}, samples={m}, "
-                              f"quad_order={q}): {exc}") from exc
-    return exp
+    try:
+        problem = exp.build_problem()
+        _check_time(problem, exp.t)
+        _prepare_point(problem, exp.x)
+        cells = [MlpConfig(variant=variant, depth=depth, base_samples=m,
+                           quad_order=q, seed=exp.seed,
+                           estimate_z=exp.estimate_z, cache=cache,
+                           strict_printed_form=exp.strict_printed_form)
+                 for variant, depth, m, q, cache in product(
+                     exp.variants, exp.depths, exp.samples, exp.quad_orders,
+                     exp.cache)]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return exp, problem, cells
 
 
-def _run_cell(exp: Experiment, cell, threads: Optional[int]) -> dict:
-    variant, depth, m, q, cache_on = cell
-    problem = make_problem(exp.problem, dim=exp.dim, horizon=exp.horizon,
-                           alpha=exp.alpha)
-    cfg = MlpConfig(variant=variant, depth=depth, base_samples=m,
-                    quad_order=q, seed=exp.seed, estimate_z=exp.estimate_z,
-                    cache=cache_on, strict_printed_form=exp.strict_printed_form)
+def _run_cell(exp: Experiment, problem, cfg: MlpConfig,
+              threads: Optional[int]) -> dict:
     start = time.perf_counter()
     stats = run_replications(problem, cfg, exp.t, exp.x, exp.replications,
                              threads=threads)
     wall = time.perf_counter() - start
-
-    row = {
-        "problem": exp.problem,
-        "dim": exp.dim,
-        "horizon": exp.horizon,
-        "alpha": exp.alpha,
-        "variant": variant,
-        "depth": depth,
-        "base_samples": m,
-        "quad_order": q,
-        "cache": cache_on,
-        "estimate_z": exp.estimate_z,
-        "strict_printed_form": exp.strict_printed_form,
-        "t": exp.t,
-        "x": exp.x,
-        "replications": exp.replications,
-        "seed": exp.seed,
-        "mean_y": stats.mean_y,
-        "std_y": stats.std_y,
-        "abs_error": stats.abs_error,
-        "mean_z": stats.mean_z,
-        "generator_evals": stats.mean_cost["generator_evals"],
-        "terminal_evals": stats.mean_cost["terminal_evals"],
-        "gaussian_draws": stats.mean_cost["gaussian_draws"],
-        "cache_hits": stats.mean_cost["cache_hits"],
-        "wall_time_s": wall,
-    }
-    bound_cols = ("bias_bound", "variance_bound", "quad_term", "mc_term",
-                  "picard_term")
+    bounds = dict.fromkeys(_BOUND_COLUMNS)  # empty cells: not requested
     if exp.theorem_bounds:
         try:
             tb = theorem_bound(problem, cfg, exp.t)
-            row.update(bias_bound=tb.bias_bound,
-                       variance_bound=tb.variance_bound,
-                       quad_term=tb.quadrature_term,
-                       mc_term=tb.mc_term,
-                       picard_term=tb.picard_term)
+            bounds = {col: getattr(tb, name)
+                      for col, name in _BOUND_COLUMNS.items()}
         except (TheoremNotApplicableError, MissingBoundsError):
-            row.update({c: "n/a" for c in bound_cols})
-    else:
-        row.update({c: None for c in bound_cols})
-    return row
+            bounds = dict.fromkeys(_BOUND_COLUMNS, "n/a")
+    return {**vars(stats), **asdict(exp), **asdict(cfg), **stats.mean_cost,
+            **bounds, "wall_time_s": wall}
 
 
 def _fmt_cell(value) -> str:
@@ -337,29 +300,23 @@ def _write_results(rows, exp: Experiment, out: Optional[str], fmt: str):
         "experiment": exp.resolved(),
         "columns": COLUMNS,
     }
-    try:
-        if fmt == "json":
-            document["rows"] = [{c: _json_cell(r[c]) for c in COLUMNS}
-                                for r in rows]
-            payload = json.dumps(document, indent=2) + "\n"
-            if out is None or out == "-":
-                sys.stdout.write(payload)
-            else:
-                with open(out, "w", encoding="utf-8") as fh:
-                    fh.write(payload)
-            return
+    if fmt == "json":
+        document["rows"] = [{c: _json_cell(r[c]) for c in COLUMNS}
+                            for r in rows]
+        payload = json.dumps(document, indent=2) + "\n"
+    else:
         lines = [",".join(COLUMNS)]
-        for r in rows:
-            lines.append(",".join(_fmt_cell(r[c]) for c in COLUMNS))
+        lines += [",".join(_fmt_cell(r[c]) for c in COLUMNS) for r in rows]
         payload = "\n".join(lines) + "\n"
+    try:
         if out is None or out == "-":
             sys.stdout.write(payload)
-        else:
-            with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(payload)
+            return
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(payload)
+        if fmt == "csv":
             with open(out + ".meta.json", "w", encoding="utf-8") as fh:
-                json.dump(document, fh, indent=2)
-                fh.write("\n")
+                fh.write(json.dumps(document, indent=2) + "\n")
     except OSError as exc:
         raise OutputError(f"cannot write results to {out!r}: {exc}") from exc
 
@@ -378,40 +335,31 @@ def _thread_count(args) -> Optional[int]:
     return n
 
 
-def _cmd_experiment(args, require_config: bool) -> int:
-    if require_config and not args.config:
+def _cmd_experiment(args) -> int:
+    if args.command == "sweep" and not args.config:
         raise ConfigError("sweep requires --config")
-    config = _load_config(args.config) if args.config else None
-    exp = _build_experiment(args, config)
+    config = _load_config(args.config) if args.config else {}
+    exp, problem, cells = _build_experiment(args, config)
     threads = _thread_count(args)
     rows, failures = [], []
-    for cell in exp.cells():
+    for cfg in cells:
         try:
-            rows.append(_run_cell(exp, cell, threads))
+            rows.append(_run_cell(exp, problem, cfg, threads))
         except Exception as exc:  # cell failures are enumerated, not fatal
-            failures.append((cell, exc))
+            failures.append((cfg, exc))
     _write_results(rows, exp, args.out, args.format)
-    for cell, exc in failures:
-        variant, depth, m, q, cache_on = cell
-        print(f"cell failed: variant={variant} depth={depth} samples={m} "
-              f"quad_order={q} cache={cache_on}: {exc}", file=sys.stderr)
+    for cfg, exc in failures:
+        print(f"cell failed: variant={cfg.variant} depth={cfg.depth} "
+              f"samples={cfg.base_samples} quad_order={cfg.quad_order} "
+              f"cache={cfg.cache}: {exc}", file=sys.stderr)
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
-def _cmd_solve(args) -> int:
-    return _cmd_experiment(args, require_config=False)
-
-
-def _cmd_sweep(args) -> int:
-    return _cmd_experiment(args, require_config=True)
-
-
 def _cmd_validate(args) -> int:
-    _check_problem(args.problem)
-    problem = make_problem(args.problem, dim=args.dim, horizon=args.horizon,
-                           alpha=args.alpha)
-    entries = validate_assumptions(problem, samples=args.samples,
-                                   seed=args.seed if args.seed is not None else 0)
+    # --samples here counts probes; the resolved grid field is unused
+    exp = _resolve(args, {})
+    entries = validate_assumptions(exp.build_problem(), samples=args.samples,
+                                   seed=exp.seed)
     header = f"{'bound':32} {'declared':>12} {'violation':>12} {'status':>8}  note"
     print(header)
     violated = False
@@ -426,12 +374,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    _check_problem(args.problem)
-    problem = make_problem(args.problem, dim=args.dim, horizon=args.horizon,
-                           alpha=args.alpha)
-    x = _parse_x(args.x)
-    value = deterministic_picard(problem, args.depth, args.quad_order,
-                                 args.t, 0.0 if x is None else x,
+    exp = _resolve(args, {})
+    value = deterministic_picard(exp.build_problem(), args.depth,
+                                 exp.quad_orders[0], exp.t, exp.x,
                                  space_quad=args.space_quad)
     print(format(value, ".17g"))
     return EXIT_OK
@@ -443,15 +388,16 @@ def _cmd_list_problems(args) -> int:
     return EXIT_OK
 
 
-def _add_content_flags(p: argparse.ArgumentParser):
-    p.add_argument("--problem", help="builtin problem name")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--x", default=None,
-                   help="query point: scalar or comma-separated vector")
-    p.add_argument("--seed", type=int, default=None)
+def _add_problem_flags(p: argparse.ArgumentParser, required: bool = False):
+    p.add_argument("--problem", required=required, help="builtin problem name")
+    p.add_argument("--dim", type=int)
+    p.add_argument("--horizon", type=float)
+    p.add_argument("--alpha", type=float)
+
+
+def _add_query_flags(p: argparse.ArgumentParser):
+    p.add_argument("--t", type=float)
+    p.add_argument("--x", help="query point: scalar or comma-separated vector")
 
 
 def _add_exec_flags(p: argparse.ArgumentParser):
@@ -469,47 +415,41 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run a single estimator cell")
-    _add_content_flags(solve)
+    _add_problem_flags(solve)
+    _add_query_flags(solve)
+    solve.add_argument("--seed", type=int)
     _add_exec_flags(solve)
-    solve.add_argument("--config", default=None)
-    solve.add_argument("--variant", choices=("original", "modified", "both"),
-                       default=None)
-    solve.add_argument("--depth", type=int, default=None)
-    solve.add_argument("--samples", type=int, default=None)
-    solve.add_argument("--quad-order", type=int, default=None)
-    solve.add_argument("--replications", type=int, default=None)
+    solve.add_argument("--config")
+    solve.add_argument("--variant", choices=("original", "modified", "both"))
+    solve.add_argument("--depth", type=int)
+    solve.add_argument("--samples", type=int)
+    solve.add_argument("--quad-order", type=int)
+    solve.add_argument("--replications", type=int)
     solve.add_argument("--estimate-z", action="store_true", default=None)
-    solve.add_argument("--no-cache", action="store_true")
+    solve.add_argument("--no-cache", action="store_const", const=[False])
     solve.add_argument("--strict-printed-form", action="store_true",
                        default=None)
     solve.add_argument("--no-theorem-bounds", dest="theorem_bounds",
                        action="store_false", default=None)
-    solve.set_defaults(func=_cmd_solve)
+    solve.set_defaults(func=_cmd_experiment)
 
     sweep = sub.add_parser("sweep", help="run a config-defined grid")
     _add_exec_flags(sweep)
-    sweep.add_argument("--config", required=False, default=None)
-    sweep.add_argument("--seed", type=int, default=None)
-    sweep.set_defaults(func=_cmd_sweep)
+    sweep.add_argument("--config")
+    sweep.add_argument("--seed", type=int)
+    sweep.set_defaults(func=_cmd_experiment)
 
     val = sub.add_parser("validate", help="spot-check declared bounds")
-    val.add_argument("--problem", required=True)
-    val.add_argument("--dim", type=int, default=1)
-    val.add_argument("--horizon", type=float, default=1.0)
-    val.add_argument("--alpha", type=float, default=0.3)
+    _add_problem_flags(val, required=True)
     val.add_argument("--samples", type=int, default=10_000)
-    val.add_argument("--seed", type=int, default=0)
+    val.add_argument("--seed", type=int)
     val.set_defaults(func=_cmd_validate)
 
     oracle = sub.add_parser("oracle", help="deterministic d=1 fixed-point value")
-    oracle.add_argument("--problem", required=True)
-    oracle.add_argument("--dim", type=int, default=1)
-    oracle.add_argument("--horizon", type=float, default=1.0)
-    oracle.add_argument("--alpha", type=float, default=0.3)
+    _add_problem_flags(oracle, required=True)
     oracle.add_argument("--depth", type=int, required=True)
-    oracle.add_argument("--quad-order", type=int, default=4)
-    oracle.add_argument("--t", type=float, default=0.0)
-    oracle.add_argument("--x", default=None)
+    oracle.add_argument("--quad-order", type=int)
+    _add_query_flags(oracle)
     oracle.add_argument("--space-quad", type=int, default=200)
     oracle.set_defaults(func=_cmd_oracle)
 

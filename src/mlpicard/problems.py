@@ -246,6 +246,8 @@ def validate_assumptions(problem: BsdeProblem, samples: int = 10_000,
     Derivative boundedness is probed only through order 4 and only in
     d = 1, where the Gaussian smoothing integrals are cheap.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     d = problem.dim
     T = problem.horizon

@@ -59,12 +59,21 @@ def _mix64(z: int) -> int:
 
 def _mix64_u64(z: np.ndarray) -> np.ndarray:
     out = z.astype(np.uint64, copy=True)
-    out ^= out >> np.uint64(30)
-    out *= np.uint64(_MIX1)
-    out ^= out >> np.uint64(27)
-    out *= np.uint64(_MIX2)
-    out ^= out >> np.uint64(31)
+    _mix64_into(out, np.empty_like(out))
     return out
+
+
+def _mix64_into(z: np.ndarray, tmp: np.ndarray) -> None:
+    # splitmix64 finalizer in place on a uint64 array; tmp is scratch of
+    # z's shape
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
+    z *= np.uint64(_MIX1)
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
+    z *= np.uint64(_MIX2)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
 
 
 def check_digests(digests: np.ndarray) -> None:
@@ -131,10 +140,6 @@ def child_digests(digests: np.ndarray, level: int, slot: int,
     child_key(key_b, level, replicas[r], slot).
     """
     check_digests(digests)
-    if not 0 <= level < MAX_LEVEL:
-        raise ValueError(f"level {level} outside [0, {MAX_LEVEL})")
-    if not 0 <= slot < MAX_SLOT:
-        raise ValueError(f"slot {slot} outside [0, {MAX_SLOT})")
     reps = np.asarray(replicas, dtype=np.uint64)
     if reps.size and (int(reps.max()) >= MAX_REPLICA):
         raise ValueError(f"replica indices must lie in [0, {MAX_REPLICA})")
@@ -170,16 +175,8 @@ def _fill(digests: np.ndarray, offset: int, count: int,
         for c0 in range(0, count, cols):
             c1 = min(c0 + cols, count)
             z, t = bits[:r1 - r0, :c1 - c0], tmp[:r1 - r0, :c1 - c0]
-            # splitmix64 finalizer in place, as in _mix64_u64
             np.add(digests[r0:r1, None], words[None, c0:c1], out=z)
-            np.right_shift(z, np.uint64(30), out=t)
-            z ^= t
-            z *= np.uint64(_MIX1)
-            np.right_shift(z, np.uint64(27), out=t)
-            z ^= t
-            z *= np.uint64(_MIX2)
-            np.right_shift(z, np.uint64(31), out=t)
-            z ^= t
+            _mix64_into(z, t)
             # top 53 bits, centered in the bin: strictly inside (0, 1)
             z >>= np.uint64(11)
             u = unif[:r1 - r0, :c1 - c0]

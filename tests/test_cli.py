@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -272,3 +273,67 @@ def test_invalid_flag_values_are_config_errors(tmp_path):
                  "--out", str(tmp_path / "c.csv")]) == EXIT_CONFIG
     assert main(["solve", "--problem", "zero-gen", "--x", "0.1,0.2",
                  "--out", str(tmp_path / "d.csv")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key, value", [
+    ("replications", 2.9),
+    ("seed", 1.7),
+    ("seed", True),
+    ("overrides", {"dim": 2.5}),
+    ("estimate_z", "false"),
+    ("theorem_bounds", "no"),
+    ("x", "0.5"),
+])
+def test_wrongly_typed_config_values_are_refused(tmp_path, capsys, key, value):
+    payload = {"schema_version": SCHEMA_VERSION, "problem": "zero-gen",
+               "depths": [1], "replications": 4, key: value}
+    out = tmp_path / "typed.csv"
+    rc = main(["sweep", "--config", write_config(tmp_path, payload),
+               "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    named = next(iter(value)) if isinstance(value, dict) else key
+    assert repr(named) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_problem_in_config_fails_before_any_cell(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "schema_version": SCHEMA_VERSION, "problem": "zero-gen",
+        "overrides": {"dim": 0}, "depths": [1, 2], "replications": 4})
+    out = tmp_path / "dim0.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "dim" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_query_point_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "nan.csv"
+    assert main(["solve", "--problem", "zero-gen", "--depth", "1",
+                 "--replications", "4", "--x", "nan",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_positive_horizon_is_named(tmp_path, capsys):
+    assert main(["solve", "--problem", "zero-gen", "--depth", "1",
+                 "--replications", "4", "--horizon", "0",
+                 "--out", str(tmp_path / "h0.csv")]) == EXIT_CONFIG
+    assert "horizon" in capsys.readouterr().err
+
+
+def test_validate_refuses_zero_samples(capsys):
+    assert main(["validate", "--problem", "linear-y",
+                 "--samples", "0"]) == EXIT_CONFIG
+    assert "samples" in capsys.readouterr().err
+
+
+def test_readme_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "readme.json"
+    cfg.write_text(block)
+    out = tmp_path / "readme.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert len(read_csv(out)) == 18

@@ -199,3 +199,8 @@ def test_builtin_problems_share_parameters():
     assert all(p.dim == 4 and p.horizon == 2.0 for p in probs)
     lin = next(p for p in probs if p.name == "linear-y")
     assert lin.bounds.f_lipschitz == 0.9
+
+
+def test_validate_assumptions_refuses_no_samples():
+    with pytest.raises(ValueError, match="samples"):
+        validate_assumptions(make_problem("linear-y"), samples=0)
