@@ -10,8 +10,8 @@ from .analysis import (MemoryBudgetError, MissingBoundsError,
 from .mlp import (CostCounters, Estimate, InvalidTimeError, MlpConfig,
                   PairEstimate, estimate, paired_recursion)
 from .problems import (AnalyticSolution, BsdeProblem, ProblemBounds,
-                       ValidationEntry, builtin_problems, make_problem,
-                       pde_residual, problem_names, validate_assumptions)
+                       ValidationEntry, make_problem, problem_names,
+                       validate_assumptions)
 from .quadrature import (DegenerateIntervalError, InvalidOrderError,
                          NonFiniteIntegrandError, QuadratureRule, build_rule,
                          integrate, legendre_roots, quadrature_error_bound)
@@ -40,7 +40,6 @@ __all__ = [
     "TheoremBound",
     "TheoremNotApplicableError",
     "ValidationEntry",
-    "builtin_problems",
     "build_rule",
     "child_key",
     "deterministic_picard",
@@ -49,7 +48,6 @@ __all__ = [
     "legendre_roots",
     "make_problem",
     "paired_recursion",
-    "pde_residual",
     "problem_names",
     "quadrature_error_bound",
     "run_replications",

@@ -41,8 +41,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .mlp import (REPLICATION_LEVEL, InvalidTimeError, MlpConfig,
-                  _check_time, _is_int, _prepare_point, run_batch, working_set)
-from .problems import BsdeProblem
+                  _check_time, _prepare_point, run_batch, working_set)
+from .problems import BsdeProblem, _is_int
 from .quadrature import NonFiniteIntegrandError, build_rule
 from .sampling import StreamKey, child_digests
 

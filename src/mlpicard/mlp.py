@@ -63,7 +63,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .problems import BsdeProblem
+from .problems import BsdeProblem, _is_int
 from .quadrature import (MAX_ORDER, NonFiniteIntegrandError, build_rule,
                          legendre_roots)
 from .sampling import StreamKey, check_digests, child_digests, normal_block
@@ -91,11 +91,6 @@ _TREE_VECTORS = 16                              # row vectors per tree row
 _CHUNK_ARRAYS = 4                               # chunk-sized arrays per call
 
 
-def _is_int(value) -> bool:
-    """True for Python and numpy integers; False for bools."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 class InvalidTimeError(ValueError):
     """Query time outside [0, horizon), or a recursion tree whose narrowest
     time interval is not above SINGULARITY_FLOOR."""
@@ -121,6 +116,8 @@ class MlpConfig:
             value = getattr(self, name)
             if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            # numpy integers would overflow in the 64-bit stream arithmetic
+            object.__setattr__(self, name, int(value))
         if not 0 <= self.depth <= MAX_DEPTH:
             raise ValueError(f"depth must lie in 0..{MAX_DEPTH}, got {self.depth}")
         if self.base_samples < 1:

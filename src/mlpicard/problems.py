@@ -21,12 +21,25 @@ Bounds are declared, never inferred; a missing bound stays None.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .quadrature import build_rule
+
+
+def _is_int(value) -> bool:
+    """True for Python and numpy integers; False for bools."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_dim(dim) -> int:
+    if not _is_int(dim):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    return int(dim)
 
 
 @dataclass(frozen=True)
@@ -58,8 +71,7 @@ class BsdeProblem:
     bounds: Optional[ProblemBounds] = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        object.__setattr__(self, "dim", _check_dim(self.dim))
         if not self.horizon > 0.0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
 
@@ -82,66 +94,43 @@ def _cosine_reference(scale_rate: float, dim: int, horizon: float) -> AnalyticSo
     return AnalyticSolution(u=u, grad_u=grad_u)
 
 
-def _make_zero_gen(dim: int, horizon: float, alpha: float) -> BsdeProblem:
-    return BsdeProblem(
-        name="zero-gen",
-        dim=dim,
-        horizon=horizon,
-        terminal=_cos_terminal,
-        generator=lambda t, y, z: np.zeros_like(np.asarray(y, dtype=np.float64)),
-        generator_uses_z=False,
-        reference=_cosine_reference(-dim / 2.0, dim, horizon),
-        bounds=ProblemBounds(
-            f_lipschitz=0.0,
-            f_zero_bound=0.0,
-            terminal_bound=1.0,
-            solution_bound=1.0,
-            expectation_derivative_bound=0.0,
-        ),
-    )
+def _cos_problem(name: str, dim: int, horizon: float, generator,
+                 uses_z: bool, reference: Optional[AnalyticSolution],
+                 **bounds) -> BsdeProblem:
+    # every builtin has terminal cos(sum x), so |phi| <= 1
+    return BsdeProblem(name=name, dim=dim, horizon=horizon,
+                       terminal=_cos_terminal, generator=generator,
+                       generator_uses_z=uses_z, reference=reference,
+                       bounds=ProblemBounds(terminal_bound=1.0, **bounds))
 
 
 def _make_linear_y(dim: int, horizon: float, alpha: float) -> BsdeProblem:
     growth = math.exp(max(alpha - dim / 2.0, 0.0) * horizon)
     # F(s) and G(s) are exp(-alpha s) envelopes here, so every s-derivative
     # multiplies by alpha; a single uniform bound only exists for alpha <= 1
-    deriv_bound = alpha * growth if alpha <= 1.0 else None
-    return BsdeProblem(
-        name="linear-y",
-        dim=dim,
-        horizon=horizon,
-        terminal=_cos_terminal,
-        generator=lambda t, y, z: alpha * np.asarray(y, dtype=np.float64),
-        generator_uses_z=False,
-        reference=_cosine_reference(alpha - dim / 2.0, dim, horizon),
-        bounds=ProblemBounds(
-            f_lipschitz=alpha,
-            f_zero_bound=0.0,
-            terminal_bound=1.0,
-            solution_bound=growth,
-            expectation_derivative_bound=deriv_bound,
-        ),
-    )
+    return _cos_problem(
+        "linear-y", dim, horizon,
+        lambda t, y, z: alpha * np.asarray(y, dtype=np.float64), False,
+        _cosine_reference(alpha - dim / 2.0, dim, horizon),
+        f_lipschitz=alpha, f_zero_bound=0.0, solution_bound=growth,
+        expectation_derivative_bound=alpha * growth if alpha <= 1.0 else None)
 
 
-def _make_bounded_nonlinear(dim: int, horizon: float, alpha: float) -> BsdeProblem:
-    return BsdeProblem(
-        name="bounded-nonlinear",
-        dim=dim,
-        horizon=horizon,
-        terminal=_cos_terminal,
-        generator=lambda t, y, z: np.sin(np.asarray(y, dtype=np.float64)),
-        generator_uses_z=False,
-        reference=None,
-        bounds=ProblemBounds(
-            f_lipschitz=1.0,
-            f_zero_bound=0.0,
-            terminal_bound=1.0,
-            # |u| <= |E phi| + int |sin| <= 1 + T, tighter than Gronwall here
-            solution_bound=1.0 + horizon,
-            expectation_derivative_bound=None,
-        ),
-    )
+def _make_zero_gen(dim: int, horizon: float, alpha: float) -> BsdeProblem:
+    # linear-y at alpha = 0 with an exact zero generator: 0.0 * y would
+    # give -0.0 for negative y and NaN for infinite y
+    return replace(_make_linear_y(dim, horizon, 0.0), name="zero-gen",
+                   generator=lambda t, y, z: np.zeros_like(
+                       np.asarray(y, dtype=np.float64)))
+
+
+def _make_bounded_nonlinear(dim: int, horizon: float,
+                            alpha: float) -> BsdeProblem:
+    return _cos_problem(
+        "bounded-nonlinear", dim, horizon,
+        lambda t, y, z: np.sin(np.asarray(y, dtype=np.float64)), False, None,
+        # |u| <= |E phi| + int |sin| <= 1 + T, tighter than Gronwall here
+        f_lipschitz=1.0, f_zero_bound=0.0, solution_bound=1.0 + horizon)
 
 
 def _make_z_coupled(dim: int, horizon: float, alpha: float) -> BsdeProblem:
@@ -150,22 +139,10 @@ def _make_z_coupled(dim: int, horizon: float, alpha: float) -> BsdeProblem:
         z = np.asarray(z, dtype=np.float64)
         return np.sin(y) + np.cos(z.sum(axis=-1)) / dim
 
-    return BsdeProblem(
-        name="z-coupled",
-        dim=dim,
-        horizon=horizon,
-        terminal=_cos_terminal,
-        generator=generator,
-        generator_uses_z=True,
-        reference=None,
-        bounds=ProblemBounds(
-            f_lipschitz=1.0,
-            f_zero_bound=1.0 / dim,
-            terminal_bound=1.0,
-            solution_bound=1.0 + (1.0 + 1.0 / dim) * horizon,
-            expectation_derivative_bound=None,
-        ),
-    )
+    return _cos_problem(
+        "z-coupled", dim, horizon, generator, True, None,
+        f_lipschitz=1.0, f_zero_bound=1.0 / dim,
+        solution_bound=1.0 + (1.0 + 1.0 / dim) * horizon)
 
 
 _BUILDERS = {
@@ -186,45 +163,7 @@ def make_problem(name: str, dim: int = 1, horizon: float = 1.0,
     if name not in _BUILDERS:
         known = ", ".join(problem_names())
         raise KeyError(f"unknown problem {name!r}; known: {known}")
-    return _BUILDERS[name](dim, horizon, alpha)
-
-
-def builtin_problems(dim: int = 1, horizon: float = 1.0,
-                     alpha: float = 0.3) -> list[BsdeProblem]:
-    return [make_problem(name, dim, horizon, alpha) for name in problem_names()]
-
-
-def pde_residual(problem: BsdeProblem, t: np.ndarray, x: np.ndarray,
-                 step: float = 1e-4) -> np.ndarray:
-    """Residual du/dt + (1/2) Lap u + f(t, u, grad u) at probe points.
-
-    Central finite differences for the time derivative and the Laplacian;
-    the gradient inside f comes from the analytic reference.  Probes must
-    keep t at least one step away from {0, T}.  t has shape (N,), x has
-    shape (N, d); the residual of an exact reference is O(step^2).
-    """
-    if problem.reference is None:
-        raise ValueError(f"problem {problem.name!r} has no analytic reference")
-    ref = problem.reference
-    t = np.asarray(t, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    u_t = np.empty_like(t)
-    lap = np.zeros_like(t)
-    vals = np.empty_like(t)
-    grads = np.empty_like(x)
-    fv = np.empty_like(t)
-    for i in range(t.size):
-        ti = float(t[i])
-        xi = x[i]
-        vals[i] = ref.u(ti, xi)
-        grads[i] = ref.grad_u(ti, xi)
-        fv[i] = problem.generator(ti, vals[i:i + 1], grads[i:i + 1])[0]
-        u_t[i] = (ref.u(ti + step, xi) - ref.u(ti - step, xi)) / (2.0 * step)
-        for k in range(problem.dim):
-            e = np.zeros(problem.dim)
-            e[k] = step
-            lap[i] += (ref.u(ti, xi + e) - 2.0 * vals[i] + ref.u(ti, xi - e)) / step**2
-    return u_t + 0.5 * lap + fv
+    return _BUILDERS[name](_check_dim(dim), horizon, alpha)
 
 
 @dataclass(frozen=True)
@@ -249,88 +188,55 @@ def validate_assumptions(problem: BsdeProblem, samples: int = 10_000,
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    d = problem.dim
-    T = problem.horizon
+    d, T = problem.dim, problem.horizon
+    f, ref = problem.generator, problem.reference
     bounds = problem.bounds or ProblemBounds()
     entries: list[ValidationEntry] = []
 
-    def clamp(excess: float, declared: float) -> float:
+    def add(name: str, usable: bool, why: str, note: str, excess) -> None:
+        # excess(declared) runs only when the bound is declared and usable
+        declared = getattr(bounds, name)
+        if declared is None or not usable:
+            entries.append(ValidationEntry(name, declared, None, "skipped", why))
+            return
+        worst = float(excess(declared))
         # excesses at arithmetic-noise scale are the check's own rounding,
         # not violations
-        tol = 1e-9 * max(1.0, abs(declared))
-        return 0.0 if excess <= tol else float(excess)
+        if worst <= 1e-9 * max(1.0, abs(declared)):
+            worst = 0.0
+        entries.append(ValidationEntry(name, declared, worst, "checked", note))
 
     xs = rng.normal(scale=2.0, size=(samples, d))
-    if bounds.terminal_bound is None:
-        entries.append(ValidationEntry("terminal_bound", None, None, "skipped",
-                                       "no declared bound"))
-    else:
-        excess = float(np.max(np.abs(problem.terminal(xs))) - bounds.terminal_bound)
-        entries.append(ValidationEntry("terminal_bound", bounds.terminal_bound,
-                                       clamp(excess, bounds.terminal_bound),
-                                       "checked",
-                                       f"{samples} normal(0,4) probes"))
-
     y1 = rng.normal(scale=3.0, size=samples)
     y2 = rng.normal(scale=3.0, size=samples)
     zs = rng.normal(scale=2.0, size=(samples, d))
-    if bounds.f_lipschitz is None:
-        entries.append(ValidationEntry("f_lipschitz", None, None, "skipped",
-                                       "no declared bound"))
-    else:
-        worst = 0.0
-        for s in np.linspace(0.0, T, 16):
-            df = np.abs(problem.generator(float(s), y1, zs)
-                        - problem.generator(float(s), y2, zs))
-            worst = max(worst, float(np.max(
-                df - bounds.f_lipschitz * np.abs(y1 - y2))))
-        entries.append(ValidationEntry("f_lipschitz", bounds.f_lipschitz,
-                                       clamp(worst, bounds.f_lipschitz),
-                                       "checked",
-                                       f"{samples} (y1, y2, z) probes on an s grid"))
 
-    if bounds.f_zero_bound is None:
-        entries.append(ValidationEntry("f_zero_bound", None, None, "skipped",
-                                       "no declared bound"))
-    else:
-        z0 = np.zeros((samples, d))
-        fv = np.abs(problem.generator(0.0, np.zeros(samples), z0))
-        worst = float(np.max([np.max(np.abs(
-            problem.generator(float(s), np.zeros(1), np.zeros((1, d)))))
-            for s in np.linspace(0.0, T, 64)] + [np.max(fv)]))
-        entries.append(ValidationEntry("f_zero_bound", bounds.f_zero_bound,
-                                       clamp(worst - bounds.f_zero_bound,
-                                             bounds.f_zero_bound),
-                                       "checked", "s grid and zero probes"))
-
-    if bounds.solution_bound is None or problem.reference is None:
-        entries.append(ValidationEntry("solution_bound", bounds.solution_bound,
-                                       None, "skipped",
-                                       "needs declared bound and reference"))
-    else:
+    def solution_excess(declared: float) -> float:
         ts = rng.uniform(0.0, T, size=256)
-        worst = 0.0
-        for ti in ts:
-            vals = np.abs(problem.reference.u(float(ti), xs[:256]))
-            worst = max(worst, float(np.max(vals)) - bounds.solution_bound)
-        entries.append(ValidationEntry("solution_bound", bounds.solution_bound,
-                                       clamp(worst, bounds.solution_bound),
-                                       "checked",
-                                       "256 times x 256 points"))
+        return max([0.0] + [float(np.max(np.abs(ref.u(float(ti), xs[:256]))))
+                            - declared for ti in ts])
 
-    if (bounds.expectation_derivative_bound is None or problem.reference is None
-            or d != 1 or problem.generator_uses_z):
-        entries.append(ValidationEntry(
-            "expectation_derivative_bound",
-            bounds.expectation_derivative_bound, None, "skipped",
-            "needs declared bound, reference, d=1, z-free generator"))
-    else:
-        worst = _derivative_excess(problem, bounds.expectation_derivative_bound)
-        entries.append(ValidationEntry(
-            "expectation_derivative_bound",
-            bounds.expectation_derivative_bound,
-            clamp(worst, bounds.expectation_derivative_bound), "checked",
-            "finite differences of smoothed-generator maps, orders 0..4"))
+    undeclared = "no declared bound"
+    add("terminal_bound", True, undeclared, f"{samples} normal(0,4) probes",
+        lambda c: np.max(np.abs(problem.terminal(xs))) - c)
+    add("f_lipschitz", True, undeclared,
+        f"{samples} (y1, y2, z) probes on an s grid",
+        lambda c: max([0.0] + [float(np.max(
+            np.abs(f(float(s), y1, zs) - f(float(s), y2, zs))
+            - c * np.abs(y1 - y2))) for s in np.linspace(0.0, T, 16)]))
+    add("f_zero_bound", True, undeclared, "s grid and zero probes",
+        lambda c: np.max(
+            [np.max(np.abs(f(0.0, np.zeros(samples), np.zeros((samples, d)))))]
+            + [np.max(np.abs(f(float(s), np.zeros(1), np.zeros((1, d)))))
+               for s in np.linspace(0.0, T, 64)]) - c)
+    add("solution_bound", ref is not None,
+        "needs declared bound and reference", "256 times x 256 points",
+        solution_excess)
+    add("expectation_derivative_bound",
+        ref is not None and d == 1 and not problem.generator_uses_z,
+        "needs declared bound, reference, d=1, z-free generator",
+        "finite differences of smoothed-generator maps, orders 0..4",
+        lambda c: _derivative_excess(problem, c))
     return entries
 
 
@@ -351,7 +257,8 @@ def _smoothed_generator(problem: BsdeProblem, t: float, x: float, s: float,
 
 
 def _derivative_excess(problem: BsdeProblem, declared: float) -> float:
-    # central-difference stencils, orders 1..4, on s well inside (t, T)
+    # central-difference stencils, orders 1..4, over the offsets -2..2 of
+    # s well inside (t, T); each offset is evaluated once per s
     stencils = {
         1: ([-1, 1], [-0.5, 0.5]),
         2: ([-1, 0, 1], [1.0, -2.0, 1.0]),
@@ -364,18 +271,12 @@ def _derivative_excess(problem: BsdeProblem, declared: float) -> float:
     worst = 0.0
     for kernel in (False, True):
         for s in np.linspace(t + 0.25 * T, T - 0.1 * T, 5):
-            vals = {}
+            vals = {o: _smoothed_generator(problem, t, x, float(s + o * h),
+                                           kernel) for o in range(-2, 3)}
             for order, (offs, coef) in stencils.items():
                 acc = 0.0
                 for o, c in zip(offs, coef):
-                    key = round(o)
-                    if key not in vals:
-                        vals[key] = _smoothed_generator(problem, t, x,
-                                                        float(s + o * h), kernel)
-                    acc += c * vals[key]
-                deriv = acc / h**order
-                worst = max(worst, abs(deriv) - declared)
-            if 0 not in vals:
-                vals[0] = _smoothed_generator(problem, t, x, float(s), kernel)
+                    acc += c * vals[o]
+                worst = max(worst, abs(acc / h**order) - declared)
             worst = max(worst, abs(vals[0]) - declared)
     return worst

@@ -24,6 +24,7 @@ call, never shared between threads.  The tile size moves no bit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ _TILE = 1 << 14  # values mixed and converted per tile of a block
 
 def _mix64(z: int) -> int:
     # splitmix64 finalizer on a masked python int
-    z &= _MASK
+    z = int(z) & _MASK
     z ^= z >> 30
     z = (z * _MIX1) & _MASK
     z ^= z >> 27
@@ -87,6 +88,8 @@ def check_digests(digests: np.ndarray) -> None:
 
 
 def _pack_triple(level: int, replica: int, slot: int) -> int:
+    # python ints: a narrow numpy integer would wrap in the shifts
+    level, replica, slot = map(operator.index, (level, replica, slot))
     if not 0 <= level < MAX_LEVEL:
         raise ValueError(f"level {level} outside [0, {MAX_LEVEL})")
     if not 0 <= slot < MAX_SLOT:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,22 @@ def test_strict_printed_form_changes_z_not_y():
     assert not np.array_equal(a.z, b.z)
 
 
+def test_strict_printed_form_z_degenerates():
+    # the reason strict_printed_form is kept only for comparison: its z
+    # centres on 0, while the default z centres on grad u
+    p = make_problem("zero-gen")
+    grad = -math.exp(-0.5) * math.sin(0.3)
+    root = np.array([StreamKey.from_seed(3).digest], dtype=np.uint64)
+    digests = child_digests(root, REPLICATION_LEVEL, 0, np.arange(400))[0]
+    for depth in (2, 3):
+        for strict, centre in ((True, 0.0), (False, grad)):
+            cfg = cfg_for("modified", depth, 8, 2, estimate_z=True,
+                          strict_printed_form=strict)
+            z = run_batch(p, cfg, 0.0, 0.3, digests)[1][:, 0]
+            sigma = z.std(ddof=1) / math.sqrt(z.size)
+            assert abs(z.mean() - centre) < 4.0 * sigma, (depth, strict)
+
+
 def test_z_coupled_problem_runs_both_variants():
     p = make_problem("z-coupled", dim=2)
     for variant in ("modified", "original"):
@@ -330,6 +347,30 @@ def test_config_validation():
                 MlpConfig(**fields)
     MlpConfig("modified", np.int64(2), np.int32(2), np.uint8(2),
               seed=np.uint64(7))
+
+
+def test_numpy_integers_give_python_integer_bits():
+    # numpy integers used to overflow in the 64-bit stream arithmetic
+    p = make_problem("linear-y", dim=2)
+    cases = [("depth", np.int64(2)), ("base_samples", np.int64(2)),
+             ("quad_order", np.int32(2)), ("seed", np.int64(3)),
+             ("seed", np.uint64(3))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for variant in ("original", "modified"):
+            fields = dict(variant=variant, depth=2, base_samples=2,
+                          quad_order=2, seed=3, estimate_z=True)
+            want = estimate(p, MlpConfig(**fields), 0.0, 0.1)
+            for name, value in cases:
+                cfg = MlpConfig(**{**fields, name: value})
+                assert type(getattr(cfg, name)) is int
+                got = estimate(p, cfg, 0.0, 0.1)
+                assert got.y.hex() == want.y.hex(), (variant, name)
+                assert got.z.tobytes() == want.z.tobytes()
+                assert got.cost == want.cost
+            got = estimate(make_problem("linear-y", dim=np.int64(2)),
+                           MlpConfig(**fields), 0.0, 0.1)
+            assert got.y.hex() == want.y.hex()
 
 
 def test_point_validation():

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mlpicard.problems import (BsdeProblem, ProblemBounds, builtin_problems,
-                               make_problem, pde_residual, problem_names,
-                               validate_assumptions)
+from mlpicard.problems import (BsdeProblem, ProblemBounds, make_problem,
+                               problem_names, validate_assumptions)
 
 
 def test_problem_names_sorted_and_complete():
@@ -27,6 +26,18 @@ def test_constructor_validation():
         make_problem("zero-gen", horizon=0.0)
     with pytest.raises(ValueError):
         make_problem("zero-gen", horizon=-1.0)
+    # dim=2.5 and dim=True used to fail inside numpy, and numpy integers
+    # to overflow in the stream arithmetic
+    for bad in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="dim"):
+            make_problem("linear-y", dim=bad)
+    base = make_problem("linear-y", dim=2)
+    with pytest.raises(ValueError, match="dim"):
+        BsdeProblem("bare", 2.0, 1.0, base.terminal, base.generator, False)
+    for dim in (np.int64(2), np.uint8(2)):
+        p = make_problem("linear-y", dim=dim)
+        assert type(p.dim) is int and p.dim == 2
+        assert p.bounds == base.bounds
 
 
 def test_terminal_is_cos_of_coordinate_sum():
@@ -127,25 +138,8 @@ def test_references_satisfy_integral_equation():
             assert gap < 1e-9, (name, dim, t, gap)
 
 
-def test_pde_residual_small_for_references():
-    rng = np.random.default_rng(2)
-    for name in ("zero-gen", "linear-y"):
-        for dim in (1, 3):
-            p = make_problem(name, dim=dim, alpha=0.6)
-            t = rng.uniform(0.1, 0.9, size=6)
-            x = rng.uniform(-1.0, 1.0, size=(6, dim))
-            res = pde_residual(p, t, x)
-            assert np.abs(res).max() < 1e-5
-
-
-def test_pde_residual_requires_reference():
-    with pytest.raises(ValueError, match="reference"):
-        pde_residual(make_problem("bounded-nonlinear"), np.array([0.5]),
-                     np.zeros((1, 1)))
-
-
 def test_validate_assumptions_builtins_clean():
-    for p in builtin_problems(dim=1, alpha=0.3):
+    for p in map(make_problem, problem_names()):
         entries = validate_assumptions(p, samples=4000, seed=1)
         assert entries, p.name
         checked = [e for e in entries if e.status == "checked"]
@@ -191,14 +185,6 @@ def test_validate_assumptions_skips_undeclared():
                        generator_uses_z=False)
     entries = validate_assumptions(bare, samples=500, seed=0)
     assert all(e.status == "skipped" for e in entries)
-
-
-def test_builtin_problems_share_parameters():
-    probs = builtin_problems(dim=4, horizon=2.0, alpha=0.9)
-    assert [p.name for p in probs] == problem_names()
-    assert all(p.dim == 4 and p.horizon == 2.0 for p in probs)
-    lin = next(p for p in probs if p.name == "linear-y")
-    assert lin.bounds.f_lipschitz == 0.9
 
 
 def test_validate_assumptions_refuses_no_samples():

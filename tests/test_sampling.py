@@ -31,6 +31,18 @@ def test_seed_range_validation():
     StreamKey.from_seed((1 << 64) - 1)
 
 
+def test_numpy_integer_indices_match_python_ones():
+    # numpy integers address the Python integer's stream: int64 ones used
+    # to overflow in the mixing, and an int8 slot to wrap in the shifts
+    assert StreamKey.from_seed(np.int64(3)) == StreamKey.from_seed(3)
+    assert StreamKey.from_seed(np.uint64(3)) == StreamKey.from_seed(3)
+    root = StreamKey.from_seed(7)
+    want = child_key(root, level=1, replica=5, slot=2)
+    got = child_key(root, level=np.int64(1), replica=np.uint32(5),
+                    slot=np.int8(2))
+    assert got.digest == want.digest
+
+
 def test_child_key_path_bookkeeping():
     root = StreamKey.from_seed(7)
     kid = child_key(root, level=3, replica=5, slot=2)
