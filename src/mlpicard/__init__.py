@@ -8,7 +8,7 @@ from .analysis import (MemoryBudgetError, MissingBoundsError,
                        TheoremNotApplicableError,
                        deterministic_picard, run_replications, theorem_bound)
 from .mlp import (CostCounters, Estimate, InvalidTimeError, MlpConfig,
-                  PairEstimate, estimate, paired_recursion)
+                  estimate)
 from .problems import (AnalyticSolution, BsdeProblem, ProblemBounds,
                        ValidationEntry, make_problem, problem_names,
                        validate_assumptions)
@@ -32,7 +32,6 @@ __all__ = [
     "MlpConfig",
     "NonFiniteIntegrandError",
     "OracleUnavailableError",
-    "PairEstimate",
     "ProblemBounds",
     "QuadratureRule",
     "RunStats",
@@ -47,7 +46,6 @@ __all__ = [
     "integrate",
     "legendre_roots",
     "make_problem",
-    "paired_recursion",
     "problem_names",
     "quadrature_error_bound",
     "run_replications",

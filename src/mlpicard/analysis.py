@@ -34,15 +34,15 @@ import math
 import operator
 import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .mlp import (REPLICATION_LEVEL, InvalidTimeError, MlpConfig,
                   _check_time, _prepare_point, run_batch, working_set)
-from .problems import BsdeProblem, _is_int
+from .problems import BsdeProblem, ProblemBounds, _is_int
 from .quadrature import NonFiniteIntegrandError, build_rule
 from .sampling import StreamKey, child_digests
 
@@ -111,15 +111,6 @@ def _c2_supremum(f_lip: float, horizon: float, q: int) -> float:
     return (math.exp(1.0 / 3.0) * math.sqrt(math.pi) / 2.0) * best
 
 
-_BOUND_FIELDS = (
-    ("f_lipschitz", "generator Lipschitz constant"),
-    ("f_zero_bound", "bound on f(t, 0)"),
-    ("terminal_bound", "terminal-condition bound"),
-    ("solution_bound", "solution bound"),
-    ("expectation_derivative_bound", "smoothed-generator derivative bound"),
-)
-
-
 def theorem_bound(problem: BsdeProblem, cfg: MlpConfig, t: float) -> TheoremBound:
     """Evaluate the a-priori bias and variance bounds at depth cfg.depth.
 
@@ -134,8 +125,8 @@ def theorem_bound(problem: BsdeProblem, cfg: MlpConfig, t: float) -> TheoremBoun
     if cfg.depth < 1:
         raise TheoremNotApplicableError("bounds are stated for depth >= 1")
     bounds = problem.bounds
-    missing = [name for name, _ in _BOUND_FIELDS
-               if bounds is None or getattr(bounds, name) is None]
+    missing = [f.name for f in fields(ProblemBounds)
+               if bounds is None or getattr(bounds, f.name) is None]
     if missing:
         raise MissingBoundsError(
             f"problem {problem.name!r} does not declare: {', '.join(missing)}")
@@ -311,14 +302,11 @@ class RunStats:
 
 def run_replications(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
                      replications: int,
-                     keys: Optional[Sequence[StreamKey]] = None,
                      threads: Optional[int] = None) -> RunStats:
     """Run independent replications and reduce them in fixed order.
 
     Replication r draws its stream from the reserved child
-    (level REPLICATION_LEVEL, replica r, slot 0) of the seed's root key;
-    passing keys explicitly overrides the derivation (deliberately equal
-    keys give std_y = 0).
+    (level REPLICATION_LEVEL, replica r, slot 0) of the seed's root key.
 
     The rows run in contiguous slices, one run_batch each, on at most
     threads worker threads (None: every core of the affinity mask; any
@@ -331,20 +319,16 @@ def run_replications(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
     predicted to exceed the budget alone raises MemoryBudgetError before
     any sampling.
     """
+    if not _is_int(replications) or replications < 2:
+        raise ValueError(
+            f"replications must be an integer >= 2, got {replications!r}")
     R = int(replications)
-    if R < 2:
-        raise ValueError(f"replications must be >= 2, got {replications}")
     if threads is None:
         threads = CORES
     elif not _is_int(threads) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
-    if keys is not None:
-        if len(keys) != R:
-            raise ValueError("keys, when given, must supply one per replication")
-        digests = np.array([k.digest for k in keys], dtype=np.uint64)
-    else:
-        root = np.array([StreamKey.from_seed(cfg.seed).digest], dtype=np.uint64)
-        digests = child_digests(root, REPLICATION_LEVEL, 0, np.arange(R))[0]
+    root = np.array([StreamKey.from_seed(cfg.seed).digest], dtype=np.uint64)
+    digests = child_digests(root, REPLICATION_LEVEL, 0, np.arange(R))[0]
 
     row, call = working_set(problem, cfg)
     if row + call > _SLICE_BYTES:

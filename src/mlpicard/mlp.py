@@ -12,9 +12,10 @@ Two estimators of the solution pair (y, z) at a space-time query point:
   point.  Because a level-(n-1) traversal contains level-(n-2) copies of
   itself at its own query point, the first such copy serves as the
   subtrahend: both generator arguments at a sampled point come out of ONE
-  recursion.  With cache=False the same keyed traversal is run a second
-  time only to pay the redundant cost (it would reproduce the identical
-  value); y estimates are bit-equal either way, only the counters move.
+  recursion, and estimate returns that pair as Estimate.y_prev/z_prev.
+  With cache=False the second traversal the cache saves is counted, not
+  run: it would read the same keys in the same shape, so its cost is the
+  first's; every value is bit-equal either way, only the counters move.
 
 z estimates use the kernel-weighted forms: the terminal part is the
 control-variate expression (phi(x+W) - phi(x)) W / (T-t), and quadrature
@@ -145,24 +146,17 @@ class CostCounters:
 
 @dataclass(frozen=True)
 class Estimate:
-    """One realized estimator value with its exact cost."""
+    """One realized estimator value with its exact cost.  For the modified
+    scheme at depth k >= 1, y_prev/z_prev are the first spine copy's
+    depth-(k-1) estimate (0.0 and zeros at k = 1), which the child key
+    (k-1, 0, 0) replays exactly; otherwise they are None."""
 
     y: float
     z: Optional[np.ndarray]
     cost: CostCounters
     diff_accum: float
-
-
-@dataclass(frozen=True)
-class PairEstimate:
-    """Joint value of consecutive-depth estimates from one recursion tree."""
-
-    y: float
-    y_prev: float
-    z: Optional[np.ndarray]
+    y_prev: Optional[float]
     z_prev: Optional[np.ndarray]
-    cost: CostCounters
-    diff_accum: float
 
 
 class _FrameResult(NamedTuple):
@@ -226,7 +220,7 @@ def _displace(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, off: int, m: int,
 
 
 def _correct(ctx: _Ctx, node: tuple, wv: np.ndarray, a: tuple, b: tuple,
-             y: np.ndarray, z: Optional[np.ndarray], record: bool = True):
+             y: np.ndarray, z: Optional[np.ndarray]):
     """Add the correction w_j mean(f(a) - f(b)) at one quadrature node.
 
     a and b are the (y, z) minuend and subtrahend values at the displaced
@@ -241,9 +235,8 @@ def _correct(ctx: _Ctx, node: tuple, wv: np.ndarray, a: tuple, b: tuple,
         for yv, zv in (a, b))
     ctx.counters.generator_evals += 2 * B * m
     delta = fa - fb
-    if record:
-        # rows stay contiguous per top-level replication throughout the tree
-        ctx.diff += np.abs((w_j / m) * delta).reshape(ctx.groups, -1).sum(axis=1)
+    # rows stay contiguous per top-level replication throughout the tree
+    ctx.diff += np.abs((w_j / m) * delta).reshape(ctx.groups, -1).sum(axis=1)
     dmat = delta.reshape(B, m)
     y = y + w_j * dmat.mean(axis=1)
     if z is not None:
@@ -313,7 +306,7 @@ def _base_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
 
 
 def _modified_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
-                    k: int, need_z: bool, record: bool) -> _FrameResult:
+                    k: int, need_z: bool) -> _FrameResult:
     """Modified-scheme frame at depth k >= 1 for a batch of rows; y_prev
     and z_prev hold the first spine copy (the depth-0 zeros at k = 1).
 
@@ -335,7 +328,7 @@ def _modified_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
 
     spine_dig = child_digests(dig, k - 1, _SPINE_SLOT, reps).reshape(-1)
     spine_xs = np.repeat(xs, M, axis=0)
-    spine = _modified_frame(ctx, spine_dig, spine_xs, s, k - 1, need_z, record)
+    spine = _modified_frame(ctx, spine_dig, spine_xs, s, k - 1, need_z)
     y_mat = spine.y.reshape(B, M)
     y = y_mat.mean(axis=1)
     y_prev = y_mat[:, 0].copy()
@@ -357,17 +350,18 @@ def _modified_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
         wv, pts = _displace(ctx, dig, xs, j * M * d, M, dt)
         pt_dig = child_digests(dig, k - 1, _POINT_SLOT + j, reps).reshape(-1)
         # one traversal yields both arguments; at k = 2 the subtrahend is
-        # the known depth-0 value, so nothing is reused
-        pair = _modified_frame(ctx, pt_dig, pts, t_j, k - 1, ctx.uses_z, record)
-        if k > 2:
-            if ctx.cfg.cache:
-                ctx.counters.cache_hits += B * M
-            else:
-                # cache off: pay for the second traversal the cache saves;
-                # it re-reads the same keys, so its values are pair's
-                _modified_frame(ctx, pt_dig, pts, t_j, k - 1, ctx.uses_z,
-                                False)
-        y, z = _correct(ctx, node, wv, pair[:2], pair[2:], y, z, record)
+        # the known depth-0 value, so nothing is reused.  With the cache off
+        # the second traversal it saves is counted, not run: it would read
+        # the same keys in the same shape, so it costs what this one did
+        # (cache_hits stays 0 with the cache off)
+        before = astuple(ctx.counters) if k > 2 and not ctx.cfg.cache else None
+        pair = _modified_frame(ctx, pt_dig, pts, t_j, k - 1, ctx.uses_z)
+        if before is not None:
+            ctx.counters += CostCounters(*map(operator.sub,
+                                              astuple(ctx.counters), before))
+        elif k > 2:
+            ctx.counters.cache_hits += B * M
+        y, z = _correct(ctx, node, wv, pair[:2], pair[2:], y, z)
     return _FrameResult(y, z, y_prev, z_prev)
 
 
@@ -429,14 +423,13 @@ def _check_time(problem: BsdeProblem, t: float) -> float:
     return t
 
 
-def _check_tree(problem: BsdeProblem, cfg: MlpConfig, t: float,
-                depth: int) -> None:
+def _check_tree(problem: BsdeProblem, cfg: MlpConfig, t: float) -> None:
     # each frame shrinks the remaining time T - s by at least the factor
     # r = (1 + c_1)/2 (c_1 the smallest Legendre root), both to its first
     # node and to the children it spawns there, so the narrowest interval
     # of a depth-n tree is (T - t) r^n; refuse it before any sampling
     r = 0.5 * (1.0 + float(legendre_roots(cfg.quad_order)[0]))
-    _check_interval((problem.horizon - t) * r ** depth)
+    _check_interval((problem.horizon - t) * r ** cfg.depth)
 
 
 def _check_finite(*values: Optional[np.ndarray]) -> None:
@@ -461,30 +454,25 @@ def working_set(problem: BsdeProblem, cfg: MlpConfig) -> tuple[int, int]:
             8 * _CHUNK_ARRAYS * chunk)
 
 
-def _root_digests(cfg: MlpConfig, key: Optional[StreamKey]) -> np.ndarray:
-    root = key if key is not None else StreamKey.from_seed(cfg.seed)
-    return np.array([root.digest], dtype=np.uint64)
-
-
 def _evaluate(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
-              digests: np.ndarray, depth: int, variant: str):
-    """Check the inputs, run the variant's depth frame once per digest row
-    and check that the values are finite; z and z_prev are None unless
+              digests: np.ndarray):
+    """Check the inputs, run cfg's scheme once per digest row and check
+    that the values are finite; z and z_prev are None unless
     cfg.estimate_z.  Returns (result, ctx)."""
     check_digests(digests)
     t = _check_time(problem, t)
-    _check_tree(problem, cfg, t, depth)
+    _check_tree(problem, cfg, t)
     xv = _prepare_point(problem, x)
     B = digests.size
     ctx = _Ctx(problem, cfg, groups=B)
     need_z = cfg.estimate_z or ctx.uses_z
     xs = np.tile(xv, (B, 1))
-    if depth == 0:
+    if cfg.depth == 0:
         res = _zeros_result(B, ctx.d, need_z)
-    elif variant == "modified":
-        res = _modified_frame(ctx, digests, xs, t, depth, need_z, True)
+    elif cfg.variant == "modified":
+        res = _modified_frame(ctx, digests, xs, t, cfg.depth, need_z)
     else:
-        res = _original_frame(ctx, digests, xs, t, depth, need_z)
+        res = _original_frame(ctx, digests, xs, t, cfg.depth, need_z)
     if not cfg.estimate_z:
         res = res._replace(z=None, z_prev=None)
     _check_finite(*res)
@@ -493,11 +481,11 @@ def _evaluate(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
 
 def run_batch(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
               digests: np.ndarray):
-    """Evaluate one estimator per digest row; the workhorse behind the
-    public entry points.  Returns (y, z or None, counters, diff) where y
+    """Evaluate one estimator per digest row; the workhorse behind
+    run_replications.  Returns (y, z or None, counters, diff) where y
     and diff have one entry per row and counters are totals over all rows.
     """
-    res, ctx = _evaluate(problem, cfg, t, x, digests, cfg.depth, cfg.variant)
+    res, ctx = _evaluate(problem, cfg, t, x, digests)
     return res.y, res.z, ctx.counters, ctx.diff
 
 
@@ -505,33 +493,10 @@ def estimate(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
              key: Optional[StreamKey] = None) -> Estimate:
     """Estimate at (t, x) with the scheme cfg.variant names; key overrides
     seed derivation."""
-    y, z, counters, diff = run_batch(problem, cfg, t, x,
-                                     _root_digests(cfg, key))
-    zv = z[0].copy() if z is not None else None
-    return Estimate(y=float(y[0]), z=zv, cost=counters,
-                    diff_accum=float(diff[0]))
-
-
-def paired_recursion(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
-                     depth: Optional[int] = None,
-                     key: Optional[StreamKey] = None) -> PairEstimate:
-    """Joint (y_k, y_{k-1}) at (t, x) from a single modified-scheme tree.
-
-    The second component is the first spine copy's estimate; replaying the
-    corresponding child key through a full depth-(k-1) recursion reproduces
-    it exactly.  Defined for the modified scheme; depth defaults to
-    cfg.depth and must be >= 1.
-    """
-    k = cfg.depth if depth is None else depth
-    if k < 1 or k > MAX_DEPTH:
-        raise ValueError(f"paired depth must lie in 1..{MAX_DEPTH}, got {k}")
-    res, ctx = _evaluate(problem, cfg, t, x, _root_digests(cfg, key), k,
-                         "modified")
-    return PairEstimate(
-        y=float(res.y[0]),
-        y_prev=float(res.y_prev[0]),
-        z=res.z[0].copy() if res.z is not None else None,
-        z_prev=res.z_prev[0].copy() if res.z_prev is not None else None,
-        cost=ctx.counters,
-        diff_accum=float(ctx.diff[0]),
-    )
+    root = key if key is not None else StreamKey.from_seed(cfg.seed)
+    res, ctx = _evaluate(problem, cfg, t, x,
+                         np.array([root.digest], dtype=np.uint64))
+    y, z, y_prev, z_prev = (None if v is None else v[0].copy() for v in res)
+    return Estimate(y=float(y), z=z, cost=ctx.counters,
+                    diff_accum=float(ctx.diff[0]), z_prev=z_prev,
+                    y_prev=None if y_prev is None else float(y_prev))

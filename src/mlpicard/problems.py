@@ -42,6 +42,13 @@ def _check_dim(dim) -> int:
     return int(dim)
 
 
+def _check_param(name: str, value, positive: bool = False) -> None:
+    # NaN fails both comparisons
+    if not (0.0 if positive else -math.inf) < value < math.inf:
+        kind = "positive and finite" if positive else "finite"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProblemBounds:
     f_lipschitz: Optional[float] = None
@@ -72,8 +79,7 @@ class BsdeProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", _check_dim(self.dim))
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        _check_param("horizon", self.horizon, positive=True)
 
 
 def _cos_terminal(x: np.ndarray) -> np.ndarray:
@@ -163,6 +169,9 @@ def make_problem(name: str, dim: int = 1, horizon: float = 1.0,
     if name not in _BUILDERS:
         known = ", ".join(problem_names())
         raise KeyError(f"unknown problem {name!r}; known: {known}")
+    # before the builder derives bounds from them
+    _check_param("horizon", horizon, positive=True)
+    _check_param("alpha", alpha)
     return _BUILDERS[name](_check_dim(dim), horizon, alpha)
 
 

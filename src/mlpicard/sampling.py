@@ -30,6 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from .problems import _is_int
+
 _MASK = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15  # 2^64/phi, the splitmix64 stream increment
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -87,8 +89,12 @@ def check_digests(digests: np.ndarray) -> None:
                         f"got {got}")
 
 
-def _pack_triple(level: int, replica: int, slot: int) -> int:
-    # python ints: a narrow numpy integer would wrap in the shifts
+def _path_entry(level: int, replica: int, slot: int) -> tuple[int, int, int]:
+    # python ints: a narrow numpy integer would wrap in the shifts, and a
+    # bool would pass as index 0 or 1
+    if any(isinstance(v, bool) for v in (level, replica, slot)):
+        raise ValueError(f"level, replica and slot must be integers, not "
+                         f"bools: {(level, replica, slot)!r}")
     level, replica, slot = map(operator.index, (level, replica, slot))
     if not 0 <= level < MAX_LEVEL:
         raise ValueError(f"level {level} outside [0, {MAX_LEVEL})")
@@ -96,12 +102,12 @@ def _pack_triple(level: int, replica: int, slot: int) -> int:
         raise ValueError(f"slot {slot} outside [0, {MAX_SLOT})")
     if not 0 <= replica < MAX_REPLICA:
         raise ValueError(f"replica {replica} outside [0, {MAX_REPLICA})")
+    return level, replica, slot
+
+
+def _pack_triple(level: int, replica: int, slot: int) -> int:
+    level, replica, slot = _path_entry(level, replica, slot)
     return (level << 46) | (slot << 32) | replica
-
-
-def _child_const(level: int, replica: int, slot: int) -> int:
-    packed = _pack_triple(level, replica, slot)
-    return _mix64(((packed * _GOLD) & _MASK) ^ _CHILD_SALT)
 
 
 @dataclass(frozen=True)
@@ -114,8 +120,10 @@ class StreamKey:
 
     @classmethod
     def from_seed(cls, seed: int) -> "StreamKey":
-        if not 0 <= seed <= _MASK:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        if not _is_int(seed) or not 0 <= seed <= _MASK:
+            raise ValueError(
+                f"seed must be an unsigned 64-bit integer, got {seed!r}")
+        seed = int(seed)
         return cls(seed=seed, path=(), digest=_mix64(seed ^ _ROOT_SALT))
 
 
@@ -127,12 +135,10 @@ def child_key(key: StreamKey, level: int, replica: int, slot: int) -> StreamKey:
     """
     if len(key.path) >= MAX_PATH_DEPTH:
         raise ValueError(f"path depth limited to {MAX_PATH_DEPTH} frames")
-    digest = _mix64(key.digest ^ _child_const(level, replica, slot))
-    return StreamKey(
-        seed=key.seed,
-        path=key.path + ((level, replica, slot),),
-        digest=digest,
-    )
+    entry = _path_entry(level, replica, slot)
+    const = _mix64(((_pack_triple(*entry) * _GOLD) & _MASK) ^ _CHILD_SALT)
+    return StreamKey(seed=key.seed, path=key.path + (entry,),
+                     digest=_mix64(key.digest ^ const))
 
 
 def child_digests(digests: np.ndarray, level: int, slot: int,

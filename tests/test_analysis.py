@@ -15,7 +15,6 @@ from mlpicard import mlp
 from mlpicard.analysis import (MAX_ORACLE_DEPTH, _barycentric_weights,
                                _interpolate, _reference_gauss)
 from mlpicard.quadrature import quadrature_error_bound
-from mlpicard.sampling import StreamKey, child_key
 
 
 def picard_coefficient(alpha, horizon, q, depth, t, memo=None):
@@ -314,25 +313,16 @@ def test_oracle_non_finite_generator_raises():
 def test_replications_validation():
     p = make_problem("zero-gen")
     cfg = MlpConfig("modified", 1, 4, 2)
-    with pytest.raises(ValueError):
-        run_replications(p, cfg, 0.0, 0.0, replications=1)
-    with pytest.raises(ValueError):
-        run_replications(p, cfg, 0.0, 0.0, replications=4,
-                         keys=[StreamKey.from_seed(0)] * 3)
+    # 2.9 used to run 2 replications and "3" to run 3
+    for replications in (1, 0, True, 2.9, 3.0, "3"):
+        with pytest.raises(ValueError, match="replications"):
+            run_replications(p, cfg, 0.0, 0.0, replications=replications)
     for threads in (0, -1, True, 2.0, "2"):
         with pytest.raises(ValueError, match="threads"):
             run_replications(p, cfg, 0.0, 0.0, 4, threads=threads)
-    assert (run_replications(p, cfg, 0.0, 0.0, 4, threads=np.int64(1))
+    assert (run_replications(p, cfg, 0.0, 0.0, np.int64(4),
+                             threads=np.int64(1))
             == run_replications(p, cfg, 0.0, 0.0, 4))
-
-
-def test_equal_keys_give_zero_std():
-    p = make_problem("zero-gen")
-    cfg = MlpConfig("modified", 1, 50, 2)
-    k = child_key(StreamKey.from_seed(5), 1, 2, 3)
-    stats = run_replications(p, cfg, 0.0, 0.0, replications=2, keys=[k, k])
-    assert stats.std_y == 0.0
-    assert stats.replications == 2
 
 
 def test_std_matches_analytic_scale_zero_gen():

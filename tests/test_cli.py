@@ -322,6 +322,15 @@ def test_non_positive_horizon_is_named(tmp_path, capsys):
     assert "horizon" in capsys.readouterr().err
 
 
+def test_non_finite_horizon_is_named(tmp_path, capsys):
+    # an infinite horizon used to exit 1 from inside the quadrature
+    for horizon in ("inf", "nan"):
+        assert main(["solve", "--problem", "linear-y", "--depth", "1",
+                     "--replications", "4", "--horizon", horizon,
+                     "--out", str(tmp_path / "h.csv")]) == EXIT_CONFIG
+        assert "horizon" in capsys.readouterr().err
+
+
 def test_validate_refuses_zero_samples(capsys):
     assert main(["validate", "--problem", "linear-y",
                  "--samples", "0"]) == EXIT_CONFIG

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from mlpicard import (CostCounters, Estimate, InvalidTimeError, MlpConfig,
-                      NonFiniteIntegrandError, estimate, make_problem,
-                      paired_recursion)
+                      NonFiniteIntegrandError, estimate, make_problem)
 from mlpicard import mlp, sampling
 from mlpicard.mlp import MAX_DEPTH, REPLICATION_LEVEL, run_batch
 from mlpicard.sampling import StreamKey, child_digests, child_key
@@ -174,28 +173,57 @@ def test_zero_generator_depth2_equals_mean_of_depth1_children():
 
 
 def test_paired_recursion_replays_exactly():
-    p = make_problem("bounded-nonlinear")
-    cfg = cfg_for("modified", 3, 3, 2, seed=13, estimate_z=True)
-    pair = paired_recursion(p, cfg, 0.0, 0.4)
-    full = estimate(p, cfg, 0.0, 0.4)
-    assert pair.y == full.y
-    assert np.array_equal(pair.z, full.z)
-    # the pair's second component is the first spine copy, replayable by key
+    # a modified estimate's y_prev/z_prev are its first spine copy, which a
+    # full depth-(k-1) recursion on that child key replays bit for bit; at
+    # k = 1 the replay is the depth-0 zero
+    p = make_problem("bounded-nonlinear", dim=2)
     root = StreamKey.from_seed(13)
-    prev_cfg = cfg_for("modified", 2, 3, 2, seed=13, estimate_z=True)
-    replay = estimate(p, prev_cfg, 0.0, 0.4,
-                      key=child_key(root, level=2, replica=0, slot=0))
-    assert pair.y_prev == replay.y
-    assert np.array_equal(pair.z_prev, replay.z)
+    for depth, cache in itertools.product((1, 2, 3, 4), (True, False)):
+        est = estimate(p, cfg_for("modified", depth, 3, 2, seed=13,
+                                  estimate_z=True, cache=cache), 0.0, 0.4)
+        replay = estimate(p, cfg_for("modified", depth - 1, 3, 2,
+                                     estimate_z=True), 0.0, 0.4,
+                          key=child_key(root, depth - 1, 0, 0))
+        assert type(est.y_prev) is float
+        assert est.y_prev.hex() == replay.y.hex(), (depth, cache)
+        assert est.z_prev.tobytes() == replay.z.tobytes(), (depth, cache)
+    assert estimate(p, cfg_for("modified", 3, 3, 2, seed=13),
+                    0.0, 0.4).z_prev is None
 
 
-def test_paired_recursion_validation():
-    p = make_problem("bounded-nonlinear")
-    cfg = cfg_for("modified", 3)
-    with pytest.raises(ValueError):
-        paired_recursion(p, cfg, 0.0, 0.0, depth=0)
-    with pytest.raises(ValueError):
-        paired_recursion(p, cfg, 0.0, 0.0, depth=MAX_DEPTH + 1)
+def test_prev_is_none_for_original_and_depth_zero():
+    p = make_problem("z-coupled", dim=2)
+    for variant, depth in (("original", 0), ("original", 1),
+                           ("original", 3), ("modified", 0)):
+        est = estimate(p, cfg_for(variant, depth, estimate_z=True), 0.0, 0.1)
+        assert est.y_prev is None and est.z_prev is None, (variant, depth)
+
+
+def test_cache_off_counts_the_replay_without_running_it(monkeypatch):
+    # the traversal the cache saves would read the same keys in the same
+    # shape, so cache off draws exactly what cache on draws and moves
+    # only the counters, to the cache-off recurrence
+    p = make_problem("bounded-nonlinear", dim=2)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1:])
+        return sampling.normal_block(*args)
+
+    monkeypatch.setattr(mlp, "normal_block", counting)
+    for n in (3, 4):
+        runs = []
+        for cache in (True, False):
+            calls.clear()
+            cfg = cfg_for("modified", n, 2, 3, seed=5, estimate_z=True,
+                          cache=cache)
+            runs.append((estimate(p, cfg, 0.0, 0.2), list(calls)))
+        (on, on_calls), (off, off_calls) = runs
+        assert off_calls == on_calls, n
+        assert off.y.hex() == on.y.hex() and off.diff_accum == on.diff_accum
+        assert off.z.tobytes() == on.z.tobytes()
+        assert observed_counts(off) == modified_counts(2, 3, n, False, True)
+        assert observed_counts(on) == modified_counts(2, 3, n, True, True)
 
 
 def test_z_estimate_accuracy_zero_gen():
@@ -267,8 +295,6 @@ def test_invalid_time_rejected():
     for t in (-0.1, 2.0, 2.5, math.nan):
         with pytest.raises(InvalidTimeError):
             estimate(p, cfg, t, 0.0)
-    with pytest.raises(InvalidTimeError):
-        paired_recursion(p, cfg, 2.0, 0.0)
 
 
 def test_query_next_to_horizon_rejected():
@@ -276,8 +302,6 @@ def test_query_next_to_horizon_rejected():
     for variant in ("modified", "original"):
         with pytest.raises(InvalidTimeError):
             estimate(p, cfg_for(variant, 2), 1.0 - 1e-13, 0.0)
-    with pytest.raises(InvalidTimeError):
-        paired_recursion(p, cfg_for("modified", 2), 1.0 - 1e-13, 0.0)
 
 
 def test_tree_below_singularity_floor_rejected_before_sampling(monkeypatch):
@@ -293,8 +317,6 @@ def test_tree_below_singularity_floor_rejected_before_sampling(monkeypatch):
         cfg = MlpConfig(variant, depth=4, base_samples=1, quad_order=64)
         with pytest.raises(InvalidTimeError):
             estimate(p, cfg, 0.0, 0.0)
-    with pytest.raises(InvalidTimeError):
-        paired_recursion(p, MlpConfig("modified", 4, 1, 64), 0.0, 0.0)
     monkeypatch.undo()
     # the bound is tight: a depth-1 tree spans 3.5e-4 (T - t), which is
     # 3.5e-12 at t = T - 1e-8 and 7e-13 at t = T - 2e-9
@@ -311,8 +333,6 @@ def test_non_finite_generator_raises():
     for variant in ("modified", "original"):
         with pytest.raises(NonFiniteIntegrandError):
             estimate(p, cfg_for(variant, 2, estimate_z=True), 0.0, 0.0)
-    with pytest.raises(NonFiniteIntegrandError):
-        paired_recursion(p, cfg_for("modified", 2), 0.0, 0.0)
 
 
 def test_interior_start_time():

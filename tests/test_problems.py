@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,11 @@ def test_constructor_validation():
         make_problem("zero-gen", horizon=0.0)
     with pytest.raises(ValueError):
         make_problem("zero-gen", horizon=-1.0)
+    # an infinite horizon or alpha used to declare NaN or infinite bounds
+    for field, bad in itertools.product(("horizon", "alpha"),
+                                        (math.inf, -math.inf, math.nan)):
+        with pytest.raises(ValueError, match=field):
+            make_problem("linear-y", **{field: bad})
     # dim=2.5 and dim=True used to fail inside numpy, and numpy integers
     # to overflow in the stream arithmetic
     for bad in (2.5, True, "2"):
@@ -34,6 +40,10 @@ def test_constructor_validation():
     base = make_problem("linear-y", dim=2)
     with pytest.raises(ValueError, match="dim"):
         BsdeProblem("bare", 2.0, 1.0, base.terminal, base.generator, False)
+    for horizon in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="horizon"):
+            BsdeProblem("bare", 2, horizon, base.terminal, base.generator,
+                        False)
     for dim in (np.int64(2), np.uint8(2)):
         p = make_problem("linear-y", dim=dim)
         assert type(p.dim) is int and p.dim == 2

@@ -41,6 +41,38 @@ def test_numpy_integer_indices_match_python_ones():
     got = child_key(root, level=np.int64(1), replica=np.uint32(5),
                     slot=np.int8(2))
     assert got.digest == want.digest
+    # the key stores Python ints, whatever integer type it was given
+    assert [type(v) for v in got.path[0]] == [int, int, int]
+    assert type(StreamKey.from_seed(np.uint64(3)).seed) is int
+
+
+def test_bools_and_non_integers_refused():
+    # from_seed(True) used to run as seed 1 and from_seed(1.5) to raise a
+    # bare TypeError; a bool index used to address index 0 or 1
+    for bad in (True, False, 1.5, "3", np.float64(2.0)):
+        with pytest.raises(ValueError, match="seed"):
+            StreamKey.from_seed(bad)
+    root = StreamKey.from_seed(7)
+    dig = _row(root)
+    for level, replica, slot in ((True, 0, 0), (0, True, 0), (0, 0, False)):
+        with pytest.raises(ValueError, match="bool"):
+            child_key(root, level, replica, slot)
+    for level, slot in ((True, 0), (0, True)):
+        with pytest.raises(ValueError, match="bool"):
+            child_digests(dig, level, slot, np.arange(2))
+
+
+def test_digests_pinned():
+    # digests of valid inputs, at the ends of every field range
+    kid = child_key(StreamKey.from_seed(7), 3, 5, 2)
+    top = (MAX_LEVEL - 1, MAX_REPLICA - 1, MAX_SLOT - 1)
+    grand = child_key(kid, *top)
+    assert hex(StreamKey.from_seed(0).digest) == "0xf2ee2134306ff565"
+    assert hex(StreamKey.from_seed(_MASK).digest) == "0xd9e50edbeb02ec3a"
+    assert hex(kid.digest) == "0x363a56f3d8e24fd7"
+    assert hex(grand.digest) == "0xbde7f85d3377e168"
+    assert int(child_digests(_row(kid), top[0], top[2],
+                             np.array([top[1]]))[0, 0]) == grand.digest
 
 
 def test_child_key_path_bookkeeping():
