@@ -42,7 +42,7 @@ import numpy as np
 
 from .mlp import (REPLICATION_LEVEL, InvalidTimeError, MlpConfig,
                   _check_time, _prepare_point, run_batch, working_set)
-from .problems import BsdeProblem, ProblemBounds, _is_int
+from .problems import BsdeProblem, ProblemBounds, _check_int
 from .quadrature import NonFiniteIntegrandError, build_rule
 from .sampling import StreamKey, child_digests
 
@@ -264,11 +264,8 @@ def deterministic_picard(problem: BsdeProblem, depth: int, quad_order: int,
         raise OracleUnavailableError(
             "oracle covers generators f(t, y) only; "
             f"problem {problem.name!r} declares generator_uses_z")
-    if not 0 <= depth <= MAX_ORACLE_DEPTH:
-        raise ValueError(f"depth must lie in 0..{MAX_ORACLE_DEPTH}, got {depth}")
-    if not _is_int(space_quad) or space_quad < 8:
-        raise ValueError(
-            f"space_quad must be an integer >= 8, got {space_quad!r}")
+    depth = _check_int("depth", depth, 0, MAX_ORACLE_DEPTH)
+    space_quad = _check_int("space_quad", space_quad, 8)
     t = _check_time(problem, t)
     x0 = float(_prepare_point(problem, x)[0])
     if depth == 0:
@@ -319,14 +316,8 @@ def run_replications(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
     predicted to exceed the budget alone raises MemoryBudgetError before
     any sampling.
     """
-    if not _is_int(replications) or replications < 2:
-        raise ValueError(
-            f"replications must be an integer >= 2, got {replications!r}")
-    R = int(replications)
-    if threads is None:
-        threads = CORES
-    elif not _is_int(threads) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    R = _check_int("replications", replications, 2)
+    threads = CORES if threads is None else _check_int("threads", threads, 1)
     root = np.array([StreamKey.from_seed(cfg.seed).digest], dtype=np.uint64)
     digests = child_digests(root, REPLICATION_LEVEL, 0, np.arange(R))[0]
 

@@ -47,7 +47,8 @@ from . import __version__
 from .analysis import (MissingBoundsError, TheoremNotApplicableError,
                        deterministic_picard, run_replications, theorem_bound)
 from .mlp import MlpConfig, _check_time, _prepare_point
-from .problems import make_problem, problem_names, validate_assumptions
+from .problems import (_check_int, make_problem, problem_names,
+                       validate_assumptions)
 
 SCHEMA_VERSION = 1
 
@@ -231,9 +232,8 @@ def _build_experiment(args, config: dict):
     """The experiment, its problem and one MlpConfig per grid cell, each
     built once; any invalid value is a ConfigError before a cell runs."""
     exp = _resolve(args, config)
-    if exp.replications < 2:
-        raise ConfigError("replications must be >= 2")
     try:
+        _check_int("replications", exp.replications, 2)
         problem = exp.build_problem()
         _check_time(problem, exp.t)
         _prepare_point(problem, exp.x)
@@ -330,9 +330,7 @@ def _thread_count(args) -> Optional[int]:
         n = int(raw)
     except ValueError:
         raise ConfigError(f"thread count must be an integer or 'auto', got {raw!r}")
-    if n < 1:
-        raise ConfigError(f"thread count must be >= 1, got {n}")
-    return n
+    return _check_int("thread count", n, 1)
 
 
 def _cmd_experiment(args) -> int:
@@ -463,19 +461,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ValueError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except UnknownProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_PROBLEM
-    except OutputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        # bad numeric arguments to oracle/validate surface as usage errors
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        # any other ValueError, such as a bad oracle depth, is a usage error
+        return {UnknownProblemError: EXIT_UNKNOWN_PROBLEM,
+                OutputError: EXIT_IO}.get(type(exc), EXIT_CONFIG)
 
 
 if __name__ == "__main__":

@@ -64,7 +64,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .problems import BsdeProblem, _is_int
+from .problems import BsdeProblem, _check_int
 from .quadrature import (MAX_ORDER, NonFiniteIntegrandError, build_rule,
                          legendre_roots)
 from .sampling import StreamKey, check_digests, child_digests, normal_block
@@ -113,20 +113,11 @@ class MlpConfig:
     def __post_init__(self):
         if self.variant not in ("original", "modified"):
             raise ValueError(f"variant must be original|modified, got {self.variant!r}")
-        for name in ("depth", "base_samples", "quad_order", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            # numpy integers would overflow in the 64-bit stream arithmetic
-            object.__setattr__(self, name, int(value))
-        if not 0 <= self.depth <= MAX_DEPTH:
-            raise ValueError(f"depth must lie in 0..{MAX_DEPTH}, got {self.depth}")
-        if self.base_samples < 1:
-            raise ValueError("base_samples must be >= 1")
-        if not 1 <= self.quad_order <= MAX_ORDER:
-            raise ValueError(f"quad_order must lie in 1..{MAX_ORDER}")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        limits = {"depth": (0, MAX_DEPTH), "base_samples": (1, None),
+                  "quad_order": (1, MAX_ORDER), "seed": (0, (1 << 64) - 1)}
+        for name, (low, high) in limits.items():
+            value = _check_int(name, getattr(self, name), low, high)
+            object.__setattr__(self, name, value)
 
 
 @dataclass

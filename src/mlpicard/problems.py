@@ -21,12 +21,14 @@ Bounds are declared, never inferred; a missing bound stays None.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .quadrature import build_rule
+
+_LOG_MAX = math.log(np.finfo(np.float64).max)  # largest finite exp argument
 
 
 def _is_int(value) -> bool:
@@ -34,12 +36,18 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_dim(dim) -> int:
-    if not _is_int(dim):
-        raise ValueError(f"dim must be an integer, got {dim!r}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    return int(dim)
+def _check_int(name: str, value, low: int, high: Optional[int] = None) -> int:
+    """int(value) for a Python or numpy integer in [low, high], else a
+    ValueError naming the argument: a bool or a float would pass for a
+    neighbouring integer, and a numpy integer wraps in stream arithmetic."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got "
+                         f"{type(value).__name__} {value!r}")
+    value = int(value)
+    if value < low or (high is not None and value > high):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {span}, got {value}")
+    return value
 
 
 def _check_param(name: str, value, positive: bool = False) -> None:
@@ -56,6 +64,12 @@ class ProblemBounds:
     terminal_bound: Optional[float] = None
     solution_bound: Optional[float] = None
     expectation_derivative_bound: Optional[float] = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not value >= 0.0:  # NaN fails too
+                raise ValueError(f"{f.name} must be >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +92,7 @@ class BsdeProblem:
     bounds: Optional[ProblemBounds] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _check_dim(self.dim))
+        object.__setattr__(self, "dim", _check_int("dim", self.dim, 1))
         _check_param("horizon", self.horizon, positive=True)
 
 
@@ -111,15 +125,20 @@ def _cos_problem(name: str, dim: int, horizon: float, generator,
 
 
 def _make_linear_y(dim: int, horizon: float, alpha: float) -> BsdeProblem:
-    growth = math.exp(max(alpha - dim / 2.0, 0.0) * horizon)
+    rate = max(alpha - dim / 2.0, 0.0) * horizon
+    if not rate <= _LOG_MAX:  # also an infinite product
+        raise ValueError(f"alpha={alpha!r} with horizon={horizon!r} gives a "
+                         f"solution bound exp({rate:.6g}) beyond the float range")
+    growth = math.exp(rate)
     # F(s) and G(s) are exp(-alpha s) envelopes here, so every s-derivative
-    # multiplies by alpha; a single uniform bound only exists for alpha <= 1
+    # multiplies by alpha; a single uniform bound only exists for |alpha| <= 1
+    lip = abs(alpha)
     return _cos_problem(
         "linear-y", dim, horizon,
         lambda t, y, z: alpha * np.asarray(y, dtype=np.float64), False,
         _cosine_reference(alpha - dim / 2.0, dim, horizon),
-        f_lipschitz=alpha, f_zero_bound=0.0, solution_bound=growth,
-        expectation_derivative_bound=alpha * growth if alpha <= 1.0 else None)
+        f_lipschitz=lip, f_zero_bound=0.0, solution_bound=growth,
+        expectation_derivative_bound=lip * growth if lip <= 1.0 else None)
 
 
 def _make_zero_gen(dim: int, horizon: float, alpha: float) -> BsdeProblem:
@@ -172,7 +191,7 @@ def make_problem(name: str, dim: int = 1, horizon: float = 1.0,
     # before the builder derives bounds from them
     _check_param("horizon", horizon, positive=True)
     _check_param("alpha", alpha)
-    return _BUILDERS[name](_check_dim(dim), horizon, alpha)
+    return _BUILDERS[name](_check_int("dim", dim, 1), horizon, alpha)
 
 
 @dataclass(frozen=True)
@@ -194,9 +213,8 @@ def validate_assumptions(problem: BsdeProblem, samples: int = 10_000,
     Derivative boundedness is probed only through order 4 and only in
     d = 1, where the Gaussian smoothing integrals are cheap.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
+    samples = _check_int("samples", samples, 1)
+    rng = np.random.default_rng(_check_int("seed", seed, 0))
     d, T = problem.dim, problem.horizon
     f, ref = problem.generator, problem.reference
     bounds = problem.bounds or ProblemBounds()

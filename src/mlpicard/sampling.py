@@ -24,13 +24,12 @@ call, never shared between threads.  The tile size moves no bit.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .problems import _is_int
+from .problems import _check_int
 
 _MASK = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15  # 2^64/phi, the splitmix64 stream increment
@@ -90,23 +89,13 @@ def check_digests(digests: np.ndarray) -> None:
 
 
 def _path_entry(level: int, replica: int, slot: int) -> tuple[int, int, int]:
-    # python ints: a narrow numpy integer would wrap in the shifts, and a
-    # bool would pass as index 0 or 1
-    if any(isinstance(v, bool) for v in (level, replica, slot)):
-        raise ValueError(f"level, replica and slot must be integers, not "
-                         f"bools: {(level, replica, slot)!r}")
-    level, replica, slot = map(operator.index, (level, replica, slot))
-    if not 0 <= level < MAX_LEVEL:
-        raise ValueError(f"level {level} outside [0, {MAX_LEVEL})")
-    if not 0 <= slot < MAX_SLOT:
-        raise ValueError(f"slot {slot} outside [0, {MAX_SLOT})")
-    if not 0 <= replica < MAX_REPLICA:
-        raise ValueError(f"replica {replica} outside [0, {MAX_REPLICA})")
-    return level, replica, slot
+    return (_check_int("level", level, 0, MAX_LEVEL - 1),
+            _check_int("replica", replica, 0, MAX_REPLICA - 1),
+            _check_int("slot", slot, 0, MAX_SLOT - 1))
 
 
 def _pack_triple(level: int, replica: int, slot: int) -> int:
-    level, replica, slot = _path_entry(level, replica, slot)
+    # Python ints from _path_entry, which cannot wrap in the shifts
     return (level << 46) | (slot << 32) | replica
 
 
@@ -120,10 +109,7 @@ class StreamKey:
 
     @classmethod
     def from_seed(cls, seed: int) -> "StreamKey":
-        if not _is_int(seed) or not 0 <= seed <= _MASK:
-            raise ValueError(
-                f"seed must be an unsigned 64-bit integer, got {seed!r}")
-        seed = int(seed)
+        seed = _check_int("seed", seed, 0, _MASK)
         return cls(seed=seed, path=(), digest=_mix64(seed ^ _ROOT_SALT))
 
 
@@ -152,7 +138,7 @@ def child_digests(digests: np.ndarray, level: int, slot: int,
     reps = np.asarray(replicas, dtype=np.uint64)
     if reps.size and (int(reps.max()) >= MAX_REPLICA):
         raise ValueError(f"replica indices must lie in [0, {MAX_REPLICA})")
-    packed = (np.uint64(_pack_triple(level, 0, slot)) | reps)
+    packed = (np.uint64(_pack_triple(*_path_entry(level, 0, slot))) | reps)
     consts = _mix64_u64((packed * np.uint64(_GOLD)) ^ np.uint64(_CHILD_SALT))
     return _mix64_u64(digests[:, None] ^ consts[None, :])
 
@@ -162,9 +148,9 @@ def _fill(digests: np.ndarray, offset: int, count: int,
     """finish of the uniforms at counters [offset + 1, offset + count] per
     row, shape (B, count), computed tile by tile."""
     check_digests(digests)
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if not 0 <= offset <= _MASK - count:
+    count = _check_int("count", count, 0)
+    offset = _check_int("offset", offset, 0)
+    if offset > _MASK - count:
         raise ValueError(f"counter window at offset {offset} with {count} "
                          f"values leaves the 64-bit counter range")
     B = digests.size

@@ -46,9 +46,12 @@ def picard_coefficient(alpha, horizon, q, depth, t, memo=None):
 # --- theorem_bound ------------------------------------------------------
 
 def test_bias_bound_is_exact_sum_of_terms():
-    p = make_problem("linear-y", alpha=0.3)
-    for n in (1, 2, 4):
-        b = theorem_bound(p, MlpConfig("modified", n, 8, 4), 0.2)
+    # linear-y with alpha < 0 used to declare f_lipschitz = alpha, which made
+    # the quadrature, Picard and bias terms negative
+    for alpha, n, m, q in [(0.3, 1, 8, 4), (0.3, 2, 8, 4), (0.3, 4, 8, 4),
+                           (-0.5, 2, 4, 2), (-0.5, 3, 4, 2)]:
+        b = theorem_bound(make_problem("linear-y", alpha=alpha),
+                          MlpConfig("modified", n, m, q), 0.2)
         assert b.bias_bound == b.quadrature_term + b.mc_term + b.picard_term
         for term in (b.quadrature_term, b.mc_term, b.picard_term,
                      b.variance_bound, b.c1, b.c2):
@@ -119,10 +122,12 @@ def test_theorem_bound_refusals():
     with pytest.raises(MissingBoundsError, match="expectation_derivative"):
         theorem_bound(make_problem("bounded-nonlinear"),
                       MlpConfig("modified", 2, 4, 4), 0.0)
-    # linear-y with alpha > 1 declares no uniform derivative envelope
-    with pytest.raises(MissingBoundsError):
-        theorem_bound(make_problem("linear-y", alpha=2.0),
-                      MlpConfig("modified", 2, 4, 4), 0.0)
+    # linear-y with |alpha| > 1 declares no uniform derivative envelope; at
+    # alpha = -2 it used to declare -2 and give negative terms
+    for alpha, n, q in [(2.0, 2, 4), (-2.0, 2, 2), (-2.0, 3, 2)]:
+        with pytest.raises(MissingBoundsError):
+            theorem_bound(make_problem("linear-y", alpha=alpha),
+                          MlpConfig("modified", n, 4, q), 0.0)
     for t in (-0.01, 1.01):
         with pytest.raises(InvalidTimeError):
             theorem_bound(make_problem("linear-y"),
@@ -158,6 +163,10 @@ def test_oracle_refusals():
     for bad in (7, 200.5, 200.0, True, "200"):
         with pytest.raises(ValueError, match="space_quad"):
             deterministic_picard(p, 2, 4, 0.0, 0.0, space_quad=bad)
+    # depth=1.5 used to die in a RecursionError and depth=True to run as 1
+    for bad in (1.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="depth"):
+            deterministic_picard(p, bad, 4, 0.0, 0.0)
     with pytest.raises(InvalidTimeError):
         deterministic_picard(p, 2, 4, 1.0, 0.0)
 

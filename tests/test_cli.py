@@ -331,6 +331,14 @@ def test_non_finite_horizon_is_named(tmp_path, capsys):
         assert "horizon" in capsys.readouterr().err
 
 
+def test_overflowing_alpha_is_named(tmp_path, capsys):
+    # a solution bound beyond the float range used to exit 1 with a traceback
+    assert main(["solve", "--problem", "linear-y", "--alpha", "800",
+                 "--depth", "1", "--replications", "2",
+                 "--out", str(tmp_path / "a.csv")]) == EXIT_CONFIG
+    assert "alpha" in capsys.readouterr().err
+
+
 def test_validate_refuses_zero_samples(capsys):
     assert main(["validate", "--problem", "linear-y",
                  "--samples", "0"]) == EXIT_CONFIG

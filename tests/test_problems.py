@@ -48,6 +48,18 @@ def test_constructor_validation():
         p = make_problem("linear-y", dim=dim)
         assert type(p.dim) is int and p.dim == 2
         assert p.bounds == base.bounds
+    # a solution bound beyond the float range used to raise a bare
+    # OverflowError from math.exp
+    for overrides in ({"alpha": 800.0}, {"horizon": 1e308, "alpha": 2.0}):
+        for field in ("alpha", "horizon"):
+            with pytest.raises(ValueError, match=field):
+                make_problem("linear-y", **overrides)
+    for field in ("f_lipschitz", "solution_bound",
+                  "expectation_derivative_bound"):
+        for bad in (-0.5, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=field):
+                ProblemBounds(**{field: bad})
+    ProblemBounds(f_lipschitz=0.0, solution_bound=math.inf)
 
 
 def test_terminal_is_cos_of_coordinate_sum():
@@ -149,7 +161,11 @@ def test_references_satisfy_integral_equation():
 
 
 def test_validate_assumptions_builtins_clean():
-    for p in map(make_problem, problem_names()):
+    # linear-y with a negative alpha used to declare the negative constants
+    # alpha and alpha * growth, which its own probes then violated
+    problems = [make_problem(name) for name in problem_names()]
+    problems += [make_problem("linear-y", alpha=a) for a in (-2.0, -0.5)]
+    for p in problems:
         entries = validate_assumptions(p, samples=4000, seed=1)
         assert entries, p.name
         checked = [e for e in entries if e.status == "checked"]
@@ -198,5 +214,14 @@ def test_validate_assumptions_skips_undeclared():
 
 
 def test_validate_assumptions_refuses_no_samples():
+    p = make_problem("linear-y")
     with pytest.raises(ValueError, match="samples"):
-        validate_assumptions(make_problem("linear-y"), samples=0)
+        validate_assumptions(p, samples=0)
+    # these samples used to raise a bare TypeError; seed=True ran as seed 1
+    # and seed=-1 failed inside numpy without naming seed
+    for bad in (2.5, True, "10"):
+        with pytest.raises(ValueError, match="samples"):
+            validate_assumptions(p, samples=bad)
+    for bad in (-1, True, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            validate_assumptions(p, samples=10, seed=bad)

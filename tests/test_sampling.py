@@ -60,6 +60,13 @@ def test_bools_and_non_integers_refused():
     for level, slot in ((True, 0), (0, True)):
         with pytest.raises(ValueError, match="bool"):
             child_digests(dig, level, slot, np.arange(2))
+    # offset=0.5 used to give the offset-0 window and offset=True offset 1
+    for name, bad in [("offset", 0.5), ("offset", 1.0), ("offset", True),
+                      ("count", 2.0), ("count", True)]:
+        window = {"offset": 0, "count": 2, name: bad}
+        for block in (normal_block, uniform_block):
+            with pytest.raises(ValueError, match=name):
+                block(dig, **window)
 
 
 def test_digests_pinned():
