@@ -31,19 +31,19 @@ solution.
 from __future__ import annotations
 
 import math
-import operator
 import os
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass, fields
-from functools import lru_cache, reduce
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, fields
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
 
-from .mlp import (REPLICATION_LEVEL, InvalidTimeError, MlpConfig,
-                  _check_time, _prepare_point, run_batch, working_set)
+from .mlp import (REPLICATION_LEVEL, CostCounters, InvalidTimeError,
+                  MlpConfig, _check_real, _check_time, _prepare_point,
+                  run_batch, working_set)
 from .problems import BsdeProblem, ProblemBounds, _check_int
-from .quadrature import NonFiniteIntegrandError, build_rule
+from .quadrature import MAX_ORDER, NonFiniteIntegrandError, build_rule
 from .sampling import StreamKey, child_digests
 
 MAX_ORACLE_DEPTH = 6
@@ -93,20 +93,33 @@ class TheoremBound:
     c2: float
 
 
+def _or_inf(fn, *args) -> float:
+    """fn(*args), or math.inf where the result overflows the float range."""
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
+
+
+def _product(*factors: float) -> float:
+    """Product of nonnegative factors; 0.0 if one is 0.0, also beside inf."""
+    return 0.0 if 0.0 in factors else math.prod(factors)
+
+
 def _c2_supremum(f_lip: float, horizon: float, q: int) -> float:
     """sup_k C_f^(k-1) T^(2q+k) / ((2q+1)...(2q+k)), by term scanning.
 
     Successive terms carry ratio C_f T / (2q+k+1), which eventually decays
     like 1/k; the scan stops once terms underflow or fall far below the
-    running maximum on the decreasing tail.
+    running maximum on the decreasing tail, or once a term reaches inf.
     """
-    term = horizon ** (2 * q + 1) / (2 * q + 1)
+    term = _or_inf(pow, horizon, 2 * q + 1) / (2 * q + 1)
     best = term
     for k in range(2, 100_000):
         term *= f_lip * horizon / (2 * q + k)
         if term > best:
             best = term
-        elif term < best * 1e-18 or term < 1e-300:
+        elif term < best * 1e-18 or term < 1e-300 or best == math.inf:
             break
     return (math.exp(1.0 / 3.0) * math.sqrt(math.pi) / 2.0) * best
 
@@ -116,7 +129,8 @@ def theorem_bound(problem: BsdeProblem, cfg: MlpConfig, t: float) -> TheoremBoun
 
     Requires a z-free generator and all five declared constants; the
     quadrature term is evaluated with horizon constants (C2 uses T, not
-    T - t), the other terms with the remaining time T - t.
+    T - t), the other terms with the remaining time T - t.  A term beyond
+    the float range reads math.inf; a term with a zero factor reads 0.0.
     """
     if problem.generator_uses_z:
         raise TheoremNotApplicableError(
@@ -131,7 +145,7 @@ def theorem_bound(problem: BsdeProblem, cfg: MlpConfig, t: float) -> TheoremBoun
         raise MissingBoundsError(
             f"problem {problem.name!r} does not declare: {', '.join(missing)}")
     T = problem.horizon
-    t = float(t)
+    t = float(_check_real("t", t))
     if not 0.0 <= t <= T:
         raise InvalidTimeError(f"t must lie in [0, {T}], got {t}")
 
@@ -141,14 +155,15 @@ def theorem_bound(problem: BsdeProblem, cfg: MlpConfig, t: float) -> TheoremBoun
              bounds.terminal_bound + bounds.f_zero_bound * T)
     c2 = _c2_supremum(f_lip, T, q)
     tau = T - t
+    rate = f_lip * math.sqrt(M) * tau
 
-    quad = (n * c2 * bounds.expectation_derivative_bound * math.sqrt(q)
-            * (math.e / (8.0 * q)) ** (2 * q))
-    mc = ((c1 / math.sqrt(M)) ** n
-          * math.exp(f_lip * math.sqrt(M) * tau * (1.0 + 1.0 / c1)))
-    picard = (bounds.solution_bound * tau ** n * f_lip ** n
-              / math.factorial(n))
-    variance = (c1 / math.sqrt(M)) * math.exp(f_lip * math.sqrt(M) * tau)
+    quad = _product(n, c2, bounds.expectation_derivative_bound, math.sqrt(q),
+                    (math.e / (8.0 * q)) ** (2 * q))
+    mc = _product(_or_inf(pow, c1 / math.sqrt(M), n),
+                  _or_inf(math.exp, rate * (1.0 + 1.0 / c1)))
+    picard = _product(bounds.solution_bound, _or_inf(pow, tau, n),
+                      _or_inf(pow, f_lip, n)) / math.factorial(n)
+    variance = _product(c1 / math.sqrt(M), _or_inf(math.exp, rate))
     return TheoremBound(
         bias_bound=quad + mc + picard,
         variance_bound=variance,
@@ -237,9 +252,7 @@ class _Oracle:
         T = self.horizon
         vec = self.convolve(T - s, fn=self.problem.terminal)
         rule = build_rule(self.quad_order, s, T)
-        for j in range(self.quad_order):
-            t_j = float(rule.nodes[j])
-            w_j = float(rule.weights[j])
+        for t_j, w_j in zip(rule.nodes.tolist(), rule.weights.tolist()):
             prev = self.iterate(k - 1, t_j, memo)
             f_prev = np.asarray(self.problem.generator(t_j, prev, self.zero_z),
                                 dtype=np.float64)
@@ -265,6 +278,7 @@ def deterministic_picard(problem: BsdeProblem, depth: int, quad_order: int,
             "oracle covers generators f(t, y) only; "
             f"problem {problem.name!r} declares generator_uses_z")
     depth = _check_int("depth", depth, 0, MAX_ORACLE_DEPTH)
+    quad_order = _check_int("quad_order", quad_order, 1, MAX_ORDER)
     space_quad = _check_int("space_quad", space_quad, 8)
     t = _check_time(problem, t)
     x0 = float(_prepare_point(problem, x)[0])
@@ -311,13 +325,16 @@ def run_replications(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
     flight would exceed _SLICE_BYTES as predicted by mlp.working_set.
     With one worker the slices run on the calling thread.  Every row is
     reduced on its own, so slices move no bit, like batch size, chunk
-    budget and sampling tile size.  After a slice fails no further slice
-    starts, and the first failure in slice order is raised.  A replication
+    budget and sampling tile size.  If slices fail, the first failure in
+    slice order is raised once every slice before it has finished, and
+    the slices not yet started are cancelled.  A replication
     predicted to exceed the budget alone raises MemoryBudgetError before
     any sampling.
     """
     R = _check_int("replications", replications, 2)
     threads = CORES if threads is None else _check_int("threads", threads, 1)
+    t = _check_time(problem, t)
+    x = _prepare_point(problem, x)
     root = np.array([StreamKey.from_seed(cfg.seed).digest], dtype=np.uint64)
     digests = child_digests(root, REPLICATION_LEVEL, 0, np.arange(R))[0]
 
@@ -330,33 +347,25 @@ def run_replications(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
     per_slice = (_SLICE_BYTES // workers - call) // row
     slices = np.array_split(
         digests, min(R, workers * -(-R // (workers * per_slice))))
+    run = partial(run_batch, problem, cfg, t, x)
     if workers == 1:
-        parts = [run_batch(problem, cfg, t, x, dig) for dig in slices]
+        parts = list(map(run, slices))
     else:
         with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(run_batch, problem, cfg, t, x, dig)
-                       for dig in slices]
-            try:
-                wait(futures, return_when=FIRST_EXCEPTION)
-            finally:
-                for f in futures:
-                    f.cancel()
-        # a slice is cancelled only after another failed, which raises here
-        parts = [f.result() for f in futures if not f.cancelled()]
-    ys = np.concatenate([p[0] for p in parts])
-    zs = None if parts[0][1] is None else np.concatenate([p[1] for p in parts])
-    counters = reduce(operator.add, (p[2] for p in parts))
+            parts = list(pool.map(run, slices))
+    ys, zs, counters, _ = zip(*parts)
+    ys = np.concatenate(ys)
+    totals = asdict(sum(counters, CostCounters()))
     mean_y = float(ys.mean())
     std_y = float(ys.std(ddof=1))
     abs_error = None
     if problem.reference is not None:
-        u = float(problem.reference.u(t, _prepare_point(problem, x)))
-        abs_error = abs(mean_y - u)
+        abs_error = abs(mean_y - float(problem.reference.u(t, x)))
     return RunStats(
         replications=R,
         mean_y=mean_y,
         std_y=std_y,
         abs_error=abs_error,
-        mean_cost={k: v / R for k, v in counters.as_dict().items()},
-        mean_z=zs.mean(axis=0) if zs is not None else None,
+        mean_cost={k: v / R for k, v in totals.items()},
+        mean_z=None if zs[0] is None else np.concatenate(zs).mean(axis=0),
     )

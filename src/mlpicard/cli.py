@@ -33,7 +33,6 @@ not be written.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -165,11 +164,9 @@ def _typed(key: str, value, kind):
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    try:
-        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -274,23 +271,11 @@ def _fmt_cell(value) -> str:
         return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, float):
         return format(value, ".17g")
     if isinstance(value, (list, tuple, np.ndarray)):
         return ";".join(format(float(v), ".17g") for v in np.atleast_1d(value))
     return str(value)
-
-
-def _json_cell(value):
-    if isinstance(value, np.ndarray):
-        return [float(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
 
 
 def _write_results(rows, exp: Experiment, out: Optional[str], fmt: str):
@@ -301,9 +286,10 @@ def _write_results(rows, exp: Experiment, out: Optional[str], fmt: str):
         "columns": COLUMNS,
     }
     if fmt == "json":
-        document["rows"] = [{c: _json_cell(r[c]) for c in COLUMNS}
-                            for r in rows]
-        payload = json.dumps(document, indent=2) + "\n"
+        document["rows"] = [{c: r[c] for c in COLUMNS} for r in rows]
+        # numpy arrays and scalars as lists and Python numbers
+        payload = json.dumps(document, indent=2,
+                             default=lambda v: v.tolist()) + "\n"
     else:
         lines = [",".join(COLUMNS)]
         lines += [",".join(_fmt_cell(r[c]) for c in COLUMNS) for r in rows]

@@ -59,12 +59,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .problems import BsdeProblem, _check_int
+from .problems import BsdeProblem, _check_bool, _check_int
 from .quadrature import (MAX_ORDER, NonFiniteIntegrandError, build_rule,
                          legendre_roots)
 from .sampling import StreamKey, check_digests, child_digests, normal_block
@@ -118,6 +118,9 @@ class MlpConfig:
         for name, (low, high) in limits.items():
             value = _check_int(name, getattr(self, name), low, high)
             object.__setattr__(self, name, value)
+        for name in ("estimate_z", "cache", "strict_printed_form"):
+            object.__setattr__(self, name,
+                               _check_bool(name, getattr(self, name)))
 
 
 @dataclass
@@ -130,9 +133,6 @@ class CostCounters:
     def __add__(self, other: "CostCounters") -> "CostCounters":
         return CostCounters(*(a + b for a, b in zip(astuple(self),
                                                      astuple(other))))
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -395,8 +395,16 @@ def _original_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
     return _FrameResult(y, z, None, None)
 
 
+def _check_real(name: str, value) -> np.ndarray:
+    """value as an array of integer or float dtype, else a ValueError."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real, got {value!r}")
+    return array
+
+
 def _prepare_point(problem: BsdeProblem, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    x = _check_real("x", x).astype(np.float64)
     if x.ndim == 0:
         x = np.full(problem.dim, float(x))
     if x.shape != (problem.dim,):
@@ -407,10 +415,9 @@ def _prepare_point(problem: BsdeProblem, x) -> np.ndarray:
 
 
 def _check_time(problem: BsdeProblem, t: float) -> float:
-    t = float(t)
+    t = float(_check_real("t", t))
     if not 0.0 <= t < problem.horizon:
-        raise InvalidTimeError(
-            f"t must lie in [0, {problem.horizon}), got {t}")
+        raise InvalidTimeError(f"t must lie in [0, {problem.horizon}), got {t}")
     return t
 
 

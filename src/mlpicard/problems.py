@@ -31,16 +31,11 @@ from .quadrature import build_rule
 _LOG_MAX = math.log(np.finfo(np.float64).max)  # largest finite exp argument
 
 
-def _is_int(value) -> bool:
-    """True for Python and numpy integers; False for bools."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _check_int(name: str, value, low: int, high: Optional[int] = None) -> int:
     """int(value) for a Python or numpy integer in [low, high], else a
     ValueError naming the argument: a bool or a float would pass for a
     neighbouring integer, and a numpy integer wraps in stream arithmetic."""
-    if not _is_int(value):
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got "
                          f"{type(value).__name__} {value!r}")
     value = int(value)
@@ -48,6 +43,14 @@ def _check_int(name: str, value, low: int, high: Optional[int] = None) -> int:
         span = f">= {low}" if high is None else f"in {low}..{high}"
         raise ValueError(f"{name} must be {span}, got {value}")
     return value
+
+
+def _check_bool(name: str, value) -> bool:
+    """bool(value) for a Python or numpy bool, else a ValueError naming the
+    argument: a string such as "no" or a number would pass for its truth."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a boolean, got {value!r}")
+    return bool(value)
 
 
 def _check_param(name: str, value, positive: bool = False) -> None:

@@ -82,11 +82,8 @@ def legendre_roots(q: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Legendre rule of a given order on the interval [lower, upper]."""
+    """Nodes and weights of a Gauss-Legendre rule; arrays are read-only."""
 
-    order: int
-    lower: float
-    upper: float
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -97,7 +94,8 @@ def build_rule(q: int, a: float, b: float) -> QuadratureRule:
     Exact for polynomials of degree <= 2q-1.  The interval must be
     nondegenerate; a zero-length rule has no meaningful nodes.
     """
-    roots = legendre_roots(q)
+    _check_order(q)
+    roots, ref_weights = _reference_rule(q)
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -105,25 +103,21 @@ def build_rule(q: int, a: float, b: float) -> QuadratureRule:
     if not b > a:
         raise DegenerateIntervalError(f"need a < b, got [{a}, {b}]")
     nodes = (roots * (b - a) + (a + b)) / 2.0
-    weights = _reference_rule(q)[1] * ((b - a) / 2.0)
+    weights = ref_weights * ((b - a) / 2.0)
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(order=q, lower=a, upper=b, nodes=nodes, weights=weights)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def integrate(rule: QuadratureRule, g) -> float:
     """Apply the rule: sum of w_j * g(t_j).
 
-    g may be vectorized over a node array or accept scalars; non-finite
-    values at any node are an error rather than a silent NaN result.
+    g is called once on the node array, and its value broadcast to the
+    nodes' shape; non-finite values at any node are an error rather than
+    a silent NaN result.
     """
-    try:
-        values = np.asarray(g(rule.nodes), dtype=np.float64)
-        vectorized = values.shape == rule.nodes.shape
-    except (TypeError, ValueError):
-        vectorized = False
-    if not vectorized:
-        values = np.array([g(t) for t in rule.nodes], dtype=np.float64)
+    values = np.broadcast_to(np.asarray(g(rule.nodes), dtype=np.float64),
+                             rule.nodes.shape)
     if not np.all(np.isfinite(values)):
         bad = rule.nodes[~np.isfinite(values)][0]
         raise NonFiniteIntegrandError(f"integrand non-finite at node {bad}")

@@ -11,7 +11,7 @@ from mlpicard import (InvalidTimeError, MissingBoundsError, MlpConfig,
                       NonFiniteIntegrandError, OracleUnavailableError,
                       TheoremNotApplicableError, deterministic_picard,
                       estimate, make_problem, run_replications, theorem_bound)
-from mlpicard import mlp
+from mlpicard import analysis, mlp
 from mlpicard.analysis import (MAX_ORACLE_DEPTH, _barycentric_weights,
                                _interpolate, _reference_gauss)
 from mlpicard.quadrature import quadrature_error_bound
@@ -132,6 +132,30 @@ def test_theorem_bound_refusals():
         with pytest.raises(InvalidTimeError):
             theorem_bound(make_problem("linear-y"),
                           MlpConfig("modified", 2, 4, 4), t)
+    with pytest.raises(ValueError, match="^t must be real"):
+        theorem_bound(make_problem("linear-y"), MlpConfig("modified", 2, 4, 4),
+                      "0.5")
+
+
+def test_bound_terms_beyond_the_float_range_read_inf():
+    # math.exp and tau ** n used to raise a bare OverflowError
+    tb = theorem_bound(make_problem("linear-y", alpha=0.9, horizon=300.0),
+                       MlpConfig("modified", 1, 4, 2), 0.0)
+    # exp(0.9 * 2 * 300 * 4/3) overflows, exp(0.9 * 2 * 300) does not
+    assert tb.mc_term == tb.bias_bound == math.inf
+    assert math.isfinite(tb.variance_bound)
+    assert math.isfinite(tb.quadrature_term)
+    assert math.isfinite(tb.picard_term)
+    huge = theorem_bound(make_problem("linear-y", alpha=-0.5, horizon=1e200),
+                         MlpConfig("modified", 2, 4, 2), 0.0)
+    assert huge.c2 == huge.quadrature_term == huge.picard_term == math.inf
+    assert huge.mc_term == huge.bias_bound == math.inf
+    # a zero factor keeps its term at 0.0, not inf * 0 = nan
+    zero = theorem_bound(make_problem("zero-gen", horizon=1e200),
+                         MlpConfig("modified", 2, 4, 2), 0.0)
+    assert zero.c2 == math.inf
+    assert zero.quadrature_term == zero.picard_term == 0.0
+    assert zero.bias_bound == zero.mc_term and math.isfinite(zero.bias_bound)
 
 
 def test_error_bound_matches_factorial_formula():
@@ -169,6 +193,11 @@ def test_oracle_refusals():
             deterministic_picard(p, bad, 4, 0.0, 0.0)
     with pytest.raises(InvalidTimeError):
         deterministic_picard(p, 2, 4, 1.0, 0.0)
+    # depth 0 used to return 0.0 for any quad_order
+    for depth in (0, 1):
+        for bad in (0, 65, 1.5, True, "4"):
+            with pytest.raises(ValueError, match="quad_order"):
+                deterministic_picard(p, depth, bad, 0.0, 0.0)
 
 
 def test_oracle_zero_generator_is_gaussian_convolution():
@@ -332,6 +361,20 @@ def test_replications_validation():
     assert (run_replications(p, cfg, 0.0, 0.0, np.int64(4),
                              threads=np.int64(1))
             == run_replications(p, cfg, 0.0, 0.0, 4))
+
+
+def test_replications_refuse_non_real_query_before_sampling(monkeypatch):
+    # t="0" used to run every slice and then fail with a bare TypeError
+    def no_batch(*args):
+        raise AssertionError("a slice ran")
+
+    monkeypatch.setattr(analysis, "run_batch", no_batch)
+    p = make_problem("linear-y")
+    cfg = MlpConfig("modified", 1, 4, 2)
+    for t, x, name in (("0", 0.3, "t"), (True, 0.3, "t"), (0.0, "0.3", "x"),
+                       (0.0, True, "x")):
+        with pytest.raises(ValueError, match=f"^{name} must be real"):
+            run_replications(p, cfg, t, x, 2)
 
 
 def test_std_matches_analytic_scale_zero_gen():

@@ -96,6 +96,30 @@ def test_estimate_z_populates_mean_z(tmp_path):
     assert row["x"] == ";".join("%.17g" % v for v in (0.1, 0.2, 0.3))
 
 
+def test_json_mean_z_is_the_csv_mean_z(tmp_path):
+    args = ["solve", "--problem", "z-coupled", "--dim", "3", "--depth", "2",
+            "--samples", "3", "--replications", "4", "--estimate-z"]
+    assert main(args + ["--out", str(tmp_path / "z.csv")]) == EXIT_OK
+    assert main(args + ["--format", "json",
+                        "--out", str(tmp_path / "z.json")]) == EXIT_OK
+    got = json.loads((tmp_path / "z.json").read_text())["rows"][0]["mean_z"]
+    want = read_csv(tmp_path / "z.csv")[0]["mean_z"].split(";")
+    assert all(type(v) is float for v in got)
+    assert got == [float(v) for v in want] and len(got) == 3
+
+
+def test_bound_beyond_float_range_writes_inf(tmp_path):
+    # the Monte-Carlo term's exponent passes 709; the cell used to fail
+    # (exit 1)
+    out = tmp_path / "inf.csv"
+    assert main(["solve", "--problem", "linear-y", "--alpha", "0.9",
+                 "--horizon", "300", "--depth", "1", "--replications", "2",
+                 "--out", str(out)]) == EXIT_OK
+    row = read_csv(out)[0]
+    assert row["mc_term"] == row["bias_bound"] == "inf"
+    assert math.isfinite(float(row["quad_term"]))
+
+
 def test_z_coupled_bounds_marked_not_applicable(tmp_path):
     out = tmp_path / "zc.csv"
     rc = main(["solve", "--problem", "z-coupled", "--depth", "2",

@@ -18,6 +18,7 @@ shows in the last bits.
 
 import itertools
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from mlpicard import MlpConfig, estimate, make_problem, run_replications
@@ -57,7 +58,7 @@ def compute() -> dict:
             est = estimate(p, cfg, t, X)
             key = (f"{name} d={d} {variant} z={z} cache={cache} "
                    f"strict={strict} M={m} Q={q} n={depth} t={t}")
-            out[key] = _bits(est.y, est.diff_accum, est.cost.as_dict(), est.z)
+            out[key] = _bits(est.y, est.diff_accum, asdict(est.cost), est.z)
 
     p = make_problem("z-coupled", dim=4)
     # the pair entries keep their key names, so golden_bits.json stays as is
@@ -65,7 +66,7 @@ def compute() -> dict:
         p, MlpConfig("modified", 3, 3, 3, seed=SEED, estimate_z=True),
         0.3, X)
     out["paired_recursion y"] = _bits(pair.y, pair.diff_accum,
-                                      pair.cost.as_dict(), pair.z)
+                                      asdict(pair.cost), pair.z)
     out["paired_recursion y_prev"] = [_hex(pair.y_prev)] + [
         _hex(v) for v in pair.z_prev]
     for variant in ("original", "modified"):

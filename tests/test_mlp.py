@@ -295,6 +295,10 @@ def test_invalid_time_rejected():
     for t in (-0.1, 2.0, 2.5, math.nan):
         with pytest.raises(InvalidTimeError):
             estimate(p, cfg, t, 0.0)
+    # "0.5" used to run as 0.5 and True as 1
+    for t in ("0.5", True, np.bool_(False), None):
+        with pytest.raises(ValueError, match="^t must be real"):
+            estimate(p, cfg, t, 0.0)
 
 
 def test_query_next_to_horizon_rejected():
@@ -367,6 +371,14 @@ def test_config_validation():
                 MlpConfig(**fields)
     MlpConfig("modified", np.int64(2), np.int32(2), np.uint8(2),
               seed=np.uint64(7))
+    # cache="no" used to keep the cache on and estimate_z="false" to
+    # estimate z
+    for name in ("estimate_z", "cache", "strict_printed_form"):
+        for bad in ("no", "false", None, 0, 1):
+            with pytest.raises(ValueError, match=name):
+                MlpConfig("modified", 2, 2, 2, **{name: bad})
+        cfg = MlpConfig("modified", 2, 2, 2, **{name: np.bool_(False)})
+        assert getattr(cfg, name) is False
 
 
 def test_numpy_integers_give_python_integer_bits():
@@ -401,6 +413,13 @@ def test_point_validation():
     assert scalar.y == vector.y
     with pytest.raises(ValueError):
         estimate(p, cfg, 0.0, np.zeros(2))
+    assert estimate(p, cfg, 0.0, np.full(3, 0.2, dtype=np.float32)).y \
+        == estimate(p, cfg, 0.0, np.float32(0.2)).y
+    assert estimate(p, cfg, 0.0, np.arange(3)).y \
+        == estimate(p, cfg, 0.0, [0.0, 1.0, 2.0]).y
+    for x in ("0.2", True, [0.2, "0.2", 0.2], np.ones(3, dtype=bool), None):
+        with pytest.raises(ValueError, match="^x must be real"):
+            estimate(p, cfg, 0.0, x)
 
 
 def test_run_batch_rows_match_single_runs(monkeypatch):

@@ -79,11 +79,11 @@ def test_degree_2q_not_exact():
     assert abs(got - 1.0 / 3.0) > 0.08
 
 
-def test_scalar_only_integrand_falls_back():
-    rule = build_rule(4, 0.0, 1.0)
-    vectorized = integrate(rule, lambda t: np.exp(t))
-    scalar_only = integrate(rule, lambda t: math.exp(t))
-    assert vectorized == scalar_only
+def test_constant_integrand_broadcasts_to_the_nodes():
+    rule = build_rule(3, 0.0, 2.0)
+    assert integrate(rule, lambda t: 1.5) == pytest.approx(3.0, rel=1e-15)
+    with pytest.raises(NonFiniteIntegrandError):
+        integrate(rule, lambda t: math.inf)
 
 
 def test_non_finite_integrand_names_node():
