@@ -26,6 +26,19 @@ value by an ulp.  For a generator linear in y the oracle equals the exact
 expectation of either stochastic scheme at the same time-quadrature
 order, which makes it a bias oracle that is sharper than any analytic
 solution.
+
+The oracle does only the work whose result is used, with the bits of the
+full computation.  A generator value with no nonzero entry (level 1 of
+every builtin, where the previous iterate is 0 and f(t, 0) = 0) is not
+convolved, since its term adds zeros; NaN and inf are nonzero, so they
+still reach the non-finite check.  Points that hit a node, such as the
+displaced points clipped to the hull ends, get no reciprocal-distance
+row.  The kept rows are padded with hit rows to a multiple of 64, since
+OpenBLAS's gemv rounds a row in a partial block of 4 rows differently
+from one in a full block and the unpruned matrix of space_quad x 64 rows
+has full blocks only.  They are written into one buffer per oracle call,
+which keeps peak memory where a matrix allocated anew per convolution
+would raise it.
 """
 
 from __future__ import annotations
@@ -54,6 +67,10 @@ _TAIL_SIGMAS = 8.0     # Gaussian windows truncated at 8 standard deviations
 _GRID_SIGMAS = 12.0
 _DISPLACEMENT_NODES = 64
 _NODE_HIT = 1e-13      # a point this close to a grid node takes its value
+# interpolation rows are built in whole blocks of this many, like the
+# space_quad x 64 unpruned matrix: OpenBLAS's gemv rounds a row in a
+# partial block of 4 rows differently from one in a full block
+_ROW_BLOCK = 64
 # predicted bytes of the replication slices in flight together; the
 # benchmark's cells fit one slice per worker
 _SLICE_BYTES = 1 << 27
@@ -195,20 +212,34 @@ def _barycentric_weights(n: int) -> np.ndarray:
 
 
 def _interpolate(grid: np.ndarray, lam: np.ndarray, pts: np.ndarray,
-                 values: np.ndarray) -> np.ndarray:
+                 values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Second-form barycentric interpolant of values at pts in
-    [grid[0], grid[-1]]; a point within _NODE_HIT of a node takes its value."""
+    [grid[0], grid[-1]]; a point within _NODE_HIT of a node takes its value.
+
+    Only points off the nodes get reciprocal-distance rows.  They fill the
+    leading rows of the buffer rows (at least pts.size x grid.size),
+    padded with hit rows to a multiple of _ROW_BLOCK; with too few hits to
+    pad, every point gets a row.  When pts.size is a multiple of
+    _ROW_BLOCK, as in the oracle, every row then sits in a full gemv
+    block, so each result keeps the bits of the unpruned matrix.
+    """
     near = np.searchsorted(grid, pts).clip(1, grid.size - 1)
     near -= pts - grid[near - 1] < grid[near] - pts
     hit = np.abs(pts - grid[near]) < _NODE_HIT
+    keep = ~hit
+    pad = -np.count_nonzero(keep) % _ROW_BLOCK
+    keep[np.flatnonzero(hit)[:pad]] = True
+    kept_hit = hit[keep]
     # fill, then subtract along contiguous rows: faster than subtract.outer
-    inv = np.empty((pts.size, grid.size))
-    inv[...] = pts[:, None]
+    inv = rows[:kept_hit.size]
+    inv[...] = pts[keep, None]
     inv -= grid
-    inv[hit] = 1.0     # any non-zero: hit rows are not used
+    inv[kept_hit] = 1.0     # any non-zero: hit rows are not used
     np.divide(1.0, inv, out=inv)
     num, den = inv @ (lam * values), inv @ lam
-    return np.divide(num, den, out=values[near], where=~hit)
+    out = values[near]
+    out[keep] = np.divide(num, den, out=out[keep], where=~kept_hit)
+    return out
 
 
 class _Oracle:
@@ -226,6 +257,8 @@ class _Oracle:
         self.grid = x0 + _GRID_SIGMAS * math.sqrt(self.horizon) * ref_nodes
         self.u_nodes, self.u_weights = _reference_gauss(_DISPLACEMENT_NODES)
         self.zero_z = np.zeros((space_quad, 1))
+        # reciprocal distances of every convolution, reused call to call
+        self.rows = np.empty((space_quad * _DISPLACEMENT_NODES, space_quad))
 
     def convolve(self, tau, values=None, fn=None):
         # E[g(grid_m + W_tau)] for every grid point, as one quadrature
@@ -239,8 +272,8 @@ class _Oracle:
             vals = fn(pts[..., None])
         else:
             clipped = np.clip(pts, grid[0], grid[-1]).ravel()
-            vals = _interpolate(grid, self.lam, clipped,
-                                values).reshape(pts.shape)
+            vals = _interpolate(grid, self.lam, clipped, values,
+                                self.rows).reshape(pts.shape)
         return vals @ dens
 
     def iterate(self, k: int, s: float, memo: dict) -> np.ndarray:
@@ -256,7 +289,9 @@ class _Oracle:
             prev = self.iterate(k - 1, t_j, memo)
             f_prev = np.asarray(self.problem.generator(t_j, prev, self.zero_z),
                                 dtype=np.float64)
-            vec = vec + w_j * self.convolve(t_j - s, values=f_prev)
+            # a convolution of zeros adds zeros; NaN and inf are nonzero
+            if f_prev.any():
+                vec = vec + w_j * self.convolve(t_j - s, values=f_prev)
         memo[key] = vec
         return vec
 

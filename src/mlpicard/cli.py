@@ -21,7 +21,8 @@ significant digits, booleans as true/false, vector values joined with
 ';', '' for values not requested, 'n/a' for bounds that do not apply to
 the cell's problem.  Writing CSV to a file also writes <out>.meta.json
 with the resolved experiment, seed, package version, and column order.
-With --format json everything goes into one JSON document.
+With --format json everything goes into one JSON document, with
+non-finite floats as the CSV's strings "inf", "-inf" and "nan".
 
 Exit codes: 0 all cells completed (validate: no declared bound was
 violated); 1 some cells failed (completed rows are still written,
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -278,6 +280,16 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
+def _json_cell(value):
+    """A row value for JSON: arrays as lists, and a non-finite float as the
+    CSV's text, since RFC 8259 JSON has no inf or nan."""
+    if isinstance(value, np.ndarray):
+        return [_json_cell(v) for v in value.tolist()]
+    if isinstance(value, float) and not math.isfinite(value):
+        return format(value, ".17g")
+    return value
+
+
 def _write_results(rows, exp: Experiment, out: Optional[str], fmt: str):
     document = {
         "schema_version": SCHEMA_VERSION,
@@ -286,10 +298,9 @@ def _write_results(rows, exp: Experiment, out: Optional[str], fmt: str):
         "columns": COLUMNS,
     }
     if fmt == "json":
-        document["rows"] = [{c: r[c] for c in COLUMNS} for r in rows]
-        # numpy arrays and scalars as lists and Python numbers
-        payload = json.dumps(document, indent=2,
-                             default=lambda v: v.tolist()) + "\n"
+        document["rows"] = [{c: _json_cell(r[c]) for c in COLUMNS}
+                            for r in rows]
+        payload = json.dumps(document, indent=2, allow_nan=False) + "\n"
     else:
         lines = [",".join(COLUMNS)]
         lines += [",".join(_fmt_cell(r[c]) for c in COLUMNS) for r in rows]

@@ -146,6 +146,7 @@ def quadrature_error_bound(q: int, a: float, b: float, deriv_bound: float) -> fl
         - 3.0 * math.lgamma(2 * q + 1)
         + math.log(deriv_bound)
     )
-    if log_bound > 709.0:
+    try:
+        return math.exp(log_bound)
+    except OverflowError:
         return math.inf
-    return math.exp(log_bound)

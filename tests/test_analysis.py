@@ -289,8 +289,9 @@ def test_interpolant_exact_on_polynomials_and_nodes():
         lam = _barycentric_weights(n)
 
         def interp(pts, values):
-            return _interpolate(grid, lam, np.asarray(pts, dtype=np.float64),
-                                values)
+            pts = np.asarray(pts, dtype=np.float64)
+            return _interpolate(grid, lam, pts, values,
+                                np.empty((pts.size, n)))
 
         # a polynomial of degree n - 1 is reproduced to rounding
         coef = rng.standard_normal(n) / np.arange(1, n + 1)
@@ -308,6 +309,71 @@ def test_interpolant_exact_on_polynomials_and_nodes():
         clipped = np.clip([grid[0] - 3.0, grid[-1] + 3.0, grid[0] - 1e-9],
                           grid[0], grid[-1])
         assert np.array_equal(interp(clipped, values), values[[0, -1, 0]])
+
+
+def unpruned_interpolate(grid, lam, pts, values):
+    """The interpolant with one reciprocal-distance row per point, hit
+    points included: the reference for the pruned _interpolate."""
+    near = np.searchsorted(grid, pts).clip(1, grid.size - 1)
+    near -= pts - grid[near - 1] < grid[near] - pts
+    hit = np.abs(pts - grid[near]) < analysis._NODE_HIT
+    inv = np.empty((pts.size, grid.size))
+    inv[...] = pts[:, None]
+    inv -= grid
+    inv[hit] = 1.0
+    np.divide(1.0, inv, out=inv)
+    num, den = inv @ (lam * values), inv @ lam
+    return np.divide(num, den, out=values[near], where=~hit)
+
+
+@pytest.mark.filterwarnings("error")
+def test_pruned_interpolant_matches_unpruned_bits():
+    # the oracle's point sets: every grid node displaced by the 64
+    # Gaussian nodes over tau, clipped to the hull, so every set has hit
+    # rows to drop; one row buffer serves every call, as in _Oracle, and
+    # starts out full of NaN
+    x0 = 0.3
+    u_nodes = _reference_gauss(analysis._DISPLACEMENT_NODES)[0]
+    rng = np.random.default_rng(5)
+    for n in (16, 17, 150, 200, 201):
+        grid = x0 + 12.0 * _reference_gauss(n)[0]
+        lam = _barycentric_weights(n)
+        rows = np.full((n * analysis._DISPLACEMENT_NODES, n), np.nan)
+        values = np.cos(grid) + 0.1 * rng.standard_normal(n)
+        for tau in (0.01, 0.3, 1.0):
+            u = 8.0 * math.sqrt(tau) * u_nodes
+            pts = np.clip(grid[:, None] + u, grid[0], grid[-1]).ravel()
+            got = _interpolate(grid, lam, pts, values, rows)
+            want = unpruned_interpolate(grid, lam, pts, values)
+            assert got.tobytes() == want.tobytes(), (n, tau)
+        # too few hits to pad to a full block: every row is used
+        pts = np.concatenate([rng.uniform(grid[0], grid[-1], 130), grid[:3]])
+        got = _interpolate(grid, lam, pts, values, rows)
+        assert got.tobytes() == unpruned_interpolate(
+            grid, lam, pts, values).tobytes(), n
+
+
+def test_oracle_skips_convolutions_of_zeros(monkeypatch):
+    # at level 1 the previous iterate is 0 and f(t, 0) = 0 for every
+    # builtin, so those convolutions are skipped; a generator with
+    # f(t, 0) != 0 still convolves there
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return _interpolate(*args)
+
+    monkeypatch.setattr(analysis, "_interpolate", counting)
+    cases = [
+        (make_problem("linear-y", alpha=0.8), 3, 20),
+        (make_problem("zero-gen"), 4, 0),
+        (dataclasses.replace(make_problem("zero-gen"),
+                             generator=lambda t, y, z: 0.25 + 0.0 * y), 1, 4),
+    ]
+    for p, depth, want in cases:
+        calls.clear()
+        deterministic_picard(p, depth, 4, 0.0, 0.3)
+        assert len(calls) == want, (p.name, depth)
 
 
 @pytest.mark.filterwarnings("error")

@@ -110,7 +110,7 @@ def test_json_mean_z_is_the_csv_mean_z(tmp_path):
 
 def test_bound_beyond_float_range_writes_inf(tmp_path):
     # the Monte-Carlo term's exponent passes 709; the cell used to fail
-    # (exit 1)
+    # (exit 1), and the JSON used to write the bare token Infinity
     out = tmp_path / "inf.csv"
     assert main(["solve", "--problem", "linear-y", "--alpha", "0.9",
                  "--horizon", "300", "--depth", "1", "--replications", "2",
@@ -118,6 +118,18 @@ def test_bound_beyond_float_range_writes_inf(tmp_path):
     row = read_csv(out)[0]
     assert row["mc_term"] == row["bias_bound"] == "inf"
     assert math.isfinite(float(row["quad_term"]))
+
+    # the JSON writes the CSV's text: RFC 8259 has no Infinity token
+    def no_constant(token):
+        raise AssertionError(f"non-JSON constant {token}")
+
+    out = tmp_path / "inf.json"
+    assert main(["solve", "--problem", "linear-y", "--alpha", "0.9",
+                 "--horizon", "300", "--depth", "1", "--replications", "2",
+                 "--format", "json", "--out", str(out)]) == EXIT_OK
+    row = json.loads(out.read_text(), parse_constant=no_constant)["rows"][0]
+    assert row["mc_term"] == row["bias_bound"] == "inf"
+    assert math.isfinite(row["quad_term"])
 
 
 def test_z_coupled_bounds_marked_not_applicable(tmp_path):

@@ -180,6 +180,15 @@ def test_error_bound_edge_cases():
         quadrature_error_bound(True, 0.0, 1.0, 1.0)
 
 
+def test_error_bound_saturates_only_past_the_float_range():
+    # log bound 709.597: math.exp is finite there, and the bound used to
+    # read inf from 709.0 on; one more e-fold passes 709.78
+    got = quadrature_error_bound(1, 0.0, 1e100, math.exp(22.0))
+    assert got == pytest.approx(1e300 / 24.0 * math.exp(22.0), rel=1e-12)
+    assert math.isfinite(got) and got > 1e308
+    assert quadrature_error_bound(1, 0.0, 1e100, math.exp(23.0)) == math.inf
+
+
 def test_error_bound_no_overflow_at_large_order():
     # factorial pieces overflow float64 individually; the bound must not
     val = quadrature_error_bound(64, 0.0, 1.0, 1.0)
