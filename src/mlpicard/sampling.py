@@ -20,14 +20,21 @@ pair alone, so a block is filled tile by tile: tiles of at most _TILE
 values (whole rows when a row is short, row segments when it is long) are
 mixed and converted in place in cache-sized scratch buffers allocated per
 call, never shared between threads.  The tile size moves no bit.
+
+scipy is used only for scipy.special.ndtri, and scipy.special is imported
+on the first read of this module's ``ndtri`` attribute, which the first
+normal_block call makes: importing the package, building problems, the
+deterministic oracle, validate_assumptions and theorem_bound never load
+it.  ``ndtri`` stays a module attribute that normal_block reads at call
+time, so it can be replaced (a tracing wrapper, say) like any other.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .problems import _check_int
 
@@ -46,6 +53,16 @@ MAX_SLOT = 1 << 14
 MAX_REPLICA = 1 << 32
 MAX_PATH_DEPTH = 32
 _TILE = 1 << 14  # values mixed and converted per tile of a block
+_module = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    # PEP 562: called only while ``ndtri`` is not yet a module global
+    if name == "ndtri":
+        from scipy.special import ndtri
+        globals()["ndtri"] = ndtri
+        return ndtri
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _mix64(z: int) -> int:
@@ -189,4 +206,6 @@ def uniform_block(digests: np.ndarray, offset: int, count: int) -> np.ndarray:
 
 def normal_block(digests: np.ndarray, offset: int, count: int) -> np.ndarray:
     """Standard normals, shape (B, count), at the given counter window."""
-    return _fill(digests, offset, count, ndtri)
+    # an attribute read, since the module __getattr__ serves only those: a
+    # bare global name would raise NameError before the first load
+    return _fill(digests, offset, count, _module.ndtri)

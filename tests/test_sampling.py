@@ -1,14 +1,21 @@
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from mlpicard import sampling
 from mlpicard.sampling import (MAX_LEVEL, MAX_PATH_DEPTH, MAX_REPLICA,
                                MAX_SLOT, StreamKey, child_digests, child_key,
                                normal_block, uniform_block, _GOLD, _MASK,
                                _TILE, _mix64, _mix64_u64)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _row(key):
@@ -319,3 +326,53 @@ def test_concurrent_blocks_match_serial_ones():
     for ref, got in zip(serial, results):
         assert len(got) == 20
         assert all(np.array_equal(ref, g) for g in got)
+
+
+_COLD_START = """
+import contextlib, io, sys
+import numpy as np
+from mlpicard import (MlpConfig, cli, deterministic_picard, make_problem,
+                      sampling, theorem_bound, validate_assumptions)
+p = make_problem("linear-y")
+deterministic_picard(p, 2, 4, 0.0, 0.3, space_quad=16)
+theorem_bound(p, MlpConfig("modified", 2, 4, 2), 0.0)
+validate_assumptions(p, samples=100)
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["list-problems"],
+                 ["oracle", "--problem", "linear-y", "--depth", "2",
+                  "--space-quad", "16"],
+                 ["validate", "--problem", "linear-y"]):
+        assert cli.main(argv) == cli.EXIT_OK, argv
+print("scipy.special" in sys.modules)
+sampling.normal_block(np.zeros(1, dtype=np.uint64), 0, 1)
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_only_gaussian_draws_load_scipy_special():
+    # a fresh process: this one imported scipy.special above
+    proc = subprocess.run([sys.executable, "-c", _COLD_START],
+                          capture_output=True, text=True, check=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.stdout.split() == ["False", "True"], proc.stdout
+
+
+def test_normal_block_calls_a_replaced_ndtri(monkeypatch):
+    # tracing replaces sampling.ndtri, so normal_block must read the
+    # attribute at call time
+    sizes = []
+
+    def counting(u, out=None):
+        sizes.append(u.size)
+        return ndtri(u, out=out)
+
+    monkeypatch.setattr(sampling, "ndtri", counting)
+    digs = _digests(3, seed=9)
+    count = _TILE + 7
+    got = normal_block(digs, 11, count)
+    assert sum(sizes) == got.size and len(sizes) > 1
+    want = ndtri(uniform_block(digs, 11, count))
+    assert got.tobytes() == want.tobytes()
+    monkeypatch.undo()
+    from mlpicard.sampling import ndtri as imported
+    assert imported is ndtri and sampling.ndtri is ndtri

@@ -194,6 +194,9 @@ _SPAWN = ("import subprocess, sys; "
           "sys.exit(subprocess.run(sys.argv[1:]).returncode)")
 _RSS_PROBE = """
 import resource, sys
+# the first Gaussian draw imports scipy.special; working_set does not
+# count the module, so it is loaded before the baseline is read
+import scipy.special
 from mlpicard import MlpConfig, analysis, make_problem, run_replications
 from mlpicard.mlp import working_set
 problem, dim, variant, depth, m, reps = sys.argv[1:]
@@ -226,3 +229,27 @@ def test_predicted_bytes_bound_peak_rss(case):
         env=dict(os.environ, PYTHONPATH=str(SRC)))
     predicted, grown = map(int, proc.stdout.split())
     assert grown <= predicted <= 3 * grown, (case, predicted, grown)
+
+
+_FIRST_DRAW = """
+import sys
+from mlpicard import MlpConfig, analysis, make_problem, run_replications
+p = make_problem("bounded-nonlinear", dim=3)
+cfg = MlpConfig("modified", 2, 4, 2, seed=11)
+assert "scipy.special" not in sys.modules
+for threads in (analysis.CORES, 1):
+    s = run_replications(p, cfg, 0.0, 0.1, 4 * analysis.CORES,
+                         threads=threads)
+    print(s.mean_y.hex(), s.std_y.hex(), sorted(s.mean_cost.items()))
+"""
+
+
+@pytest.mark.skipif(CORES < 2, reason="needs a second core")
+def test_first_draw_on_worker_threads_matches_one_thread():
+    # in a fresh process the slices reach the lazy import of scipy.special
+    # concurrently; the bits must be those of a one-thread run
+    proc = subprocess.run([sys.executable, "-c", _FIRST_DRAW],
+                          capture_output=True, text=True, check=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    threaded, serial = proc.stdout.splitlines()
+    assert threaded == serial
