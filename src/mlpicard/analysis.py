@@ -60,6 +60,7 @@ from .quadrature import MAX_ORDER, NonFiniteIntegrandError, build_rule
 from .sampling import StreamKey, child_digests
 
 MAX_ORACLE_DEPTH = 6
+MAX_SPACE_QUAD = 512  # oracle buffer: space_quad^2 x 64 floats, 128 MiB
 _TAIL_SIGMAS = 8.0     # Gaussian windows truncated at 8 standard deviations
 # interpolation hull half-width, in sqrt(T) units; 12 = 8 + 4 keeps every
 # displaced evaluation point whose path weight exceeds ~exp(-38) inside the
@@ -162,7 +163,7 @@ def theorem_bound(problem: BsdeProblem, cfg: MlpConfig, t: float) -> TheoremBoun
         raise MissingBoundsError(
             f"problem {problem.name!r} does not declare: {', '.join(missing)}")
     T = problem.horizon
-    t = float(_check_real("t", t))
+    t = float(_check_real("t", t, scalar=True))
     if not 0.0 <= t <= T:
         raise InvalidTimeError(f"t must lie in [0, {T}], got {t}")
 
@@ -303,7 +304,8 @@ def deterministic_picard(problem: BsdeProblem, depth: int, quad_order: int,
     Uses the same time-quadrature rule as the stochastic schemes and a
     space_quad-node Gauss-Legendre grid on [x - 12 sqrt(T), x + 12 sqrt(T)];
     depth is capped at 6 because the time-node tree grows like
-    quad_order^depth.
+    quad_order^depth, and space_quad at MAX_SPACE_QUAD = 512, which holds
+    the buffer of space_quad^2 x 64 floats allocated up front to 128 MiB.
     """
     if problem.dim != 1:
         raise OracleUnavailableError(
@@ -314,7 +316,7 @@ def deterministic_picard(problem: BsdeProblem, depth: int, quad_order: int,
             f"problem {problem.name!r} declares generator_uses_z")
     depth = _check_int("depth", depth, 0, MAX_ORACLE_DEPTH)
     quad_order = _check_int("quad_order", quad_order, 1, MAX_ORDER)
-    space_quad = _check_int("space_quad", space_quad, 8)
+    space_quad = _check_int("space_quad", space_quad, 8, MAX_SPACE_QUAD)
     t = _check_time(problem, t)
     x0 = float(_prepare_point(problem, x)[0])
     if depth == 0:

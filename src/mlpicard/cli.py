@@ -11,7 +11,7 @@ every core).
 
 Config keys: schema_version, plus one key per Experiment field, with
 dim, horizon and alpha inside an "overrides" object.  The grid keys
-(variants, depths, samples, quad_orders, cache) take a list or a scalar;
+(variants, depths, samples, quad_orders) take a list or a scalar;
 x takes a scalar (broadcast to d) or a length-d list.  Values must have
 the field's type: integers are not booleans or floats, and booleans are
 JSON true/false.
@@ -19,10 +19,12 @@ JSON true/false.
 CSV contract: the fixed column order in COLUMNS, floats with 17
 significant digits, booleans as true/false, vector values joined with
 ';', '' for values not requested, 'n/a' for bounds that do not apply to
-the cell's problem.  Writing CSV to a file also writes <out>.meta.json
-with the resolved experiment, seed, package version, and column order.
-With --format json everything goes into one JSON document, with
-non-finite floats as the CSV's strings "inf", "-inf" and "nan".
+the cell's problem.  cache and strict_printed_form are fixed schema-1
+columns, true and false on every row; schema 2 drops them.  Writing CSV
+to a file also writes <out>.meta.json with the resolved experiment,
+seed, package version, and column order.  With --format json everything
+goes into one JSON document, with non-finite floats as the CSV's strings
+"inf", "-inf" and "nan".
 
 Exit codes: 0 all cells completed (validate: no declared bound was
 violated); 1 some cells failed (completed rows are still written,
@@ -68,6 +70,7 @@ COLUMNS = [
     "generator_evals", "terminal_evals", "gaussian_draws", "cache_hits",
     "wall_time_s",
 ]
+_FIXED_COLUMNS = {"cache": True, "strict_printed_form": False}
 
 
 class ConfigError(ValueError):
@@ -104,13 +107,11 @@ class Experiment:
     depths: list[int] = field(default_factory=lambda: [3])
     samples: list[int] = field(default_factory=lambda: [8])
     quad_orders: list[int] = field(default_factory=lambda: [4])
-    cache: list[bool] = field(default_factory=lambda: [True])
     t: float = 0.0
     x: float | list[float] = 0.0
     replications: int = 16
     seed: int = 0
     estimate_z: bool = False
-    strict_printed_form: bool = False
     theorem_bounds: bool = True
 
     def build_problem(self):
@@ -131,7 +132,7 @@ _CONFIG_KEYS = ({f.name for f in _FIELDS} - _OVERRIDE_KEYS
                 | {"schema_version", "overrides"})
 # flags whose dest is not the name of the field they set
 _FLAG_DEST = {"variants": "variant", "depths": "depth",
-              "quad_orders": "quad_order", "cache": "no_cache"}
+              "quad_orders": "quad_order"}
 _KIND_NAMES = {bool: "booleans", int: "integers", float: "numbers",
                str: "strings"}
 # CSV column -> TheoremBound field
@@ -238,11 +239,9 @@ def _build_experiment(args, config: dict):
         _prepare_point(problem, exp.x)
         cells = [MlpConfig(variant=variant, depth=depth, base_samples=m,
                            quad_order=q, seed=exp.seed,
-                           estimate_z=exp.estimate_z, cache=cache,
-                           strict_printed_form=exp.strict_printed_form)
-                 for variant, depth, m, q, cache in product(
-                     exp.variants, exp.depths, exp.samples, exp.quad_orders,
-                     exp.cache)]
+                           estimate_z=exp.estimate_z)
+                 for variant, depth, m, q in product(
+                     exp.variants, exp.depths, exp.samples, exp.quad_orders)]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return exp, problem, cells
@@ -263,7 +262,7 @@ def _run_cell(exp: Experiment, problem, cfg: MlpConfig,
         except (TheoremNotApplicableError, MissingBoundsError):
             bounds = dict.fromkeys(_BOUND_COLUMNS, "n/a")
     return {**vars(stats), **asdict(exp), **asdict(cfg), **stats.mean_cost,
-            **bounds, "wall_time_s": wall}
+            **bounds, **_FIXED_COLUMNS, "wall_time_s": wall}
 
 
 def _fmt_cell(value) -> str:
@@ -345,8 +344,8 @@ def _cmd_experiment(args) -> int:
     _write_results(rows, exp, args.out, args.format)
     for cfg, exc in failures:
         print(f"cell failed: variant={cfg.variant} depth={cfg.depth} "
-              f"samples={cfg.base_samples} quad_order={cfg.quad_order} "
-              f"cache={cfg.cache}: {exc}", file=sys.stderr)
+              f"samples={cfg.base_samples} quad_order={cfg.quad_order}: "
+              f"{exc}", file=sys.stderr)
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
@@ -421,9 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--quad-order", type=int)
     solve.add_argument("--replications", type=int)
     solve.add_argument("--estimate-z", action="store_true", default=None)
-    solve.add_argument("--no-cache", action="store_const", const=[False])
-    solve.add_argument("--strict-printed-form", action="store_true",
-                       default=None)
     solve.add_argument("--no-theorem-bounds", dest="theorem_bounds",
                        action="store_false", default=None)
     solve.set_defaults(func=_cmd_experiment)

@@ -13,26 +13,17 @@ Two estimators of the solution pair (y, z) at a space-time query point:
   itself at its own query point, the first such copy serves as the
   subtrahend: both generator arguments at a sampled point come out of ONE
   recursion, and estimate returns that pair as Estimate.y_prev/z_prev.
-  With cache=False the second traversal the cache saves is counted, not
-  run: it would read the same keys in the same shape, so its cost is the
-  first's; every value is bit-equal either way, only the counters move.
 
 z estimates use the kernel-weighted forms: the terminal part is the
 control-variate expression (phi(x+W) - phi(x)) W / (T-t), and quadrature
 corrections reuse the displacing increment as the kernel weight.  For the
 modified scheme at depth >= 2 the leading z term is the plain mean of the
-copies' z estimates; strict_printed_form=True switches it to the
-kernel-reweighted mean with fresh terminal-horizon increments
-(componentwise product), kept only for comparison because its expectation
-degenerates.
+copies' z estimates.
 
 Counters follow exact recurrences (per run; Q = quad_order, M =
 base_samples).  generator_evals for the modified scheme:
 
-    cost(0) = 0, cost(1) = Q
-    cache on:  cost(k) = M cost(k-1) + Q M (cost(k-1) + 2)
-    cache off: same through k = 2, then
-               cost(k) = M cost(k-1) + Q M (2 cost(k-1) + 2)
+    cost(0) = 0, cost(1) = Q, cost(k) = M cost(k-1) + Q M (cost(k-1) + 2)
 
 and for the original scheme:
 
@@ -107,8 +98,6 @@ class MlpConfig:
     quad_order: int
     seed: int = 0
     estimate_z: bool = False
-    cache: bool = True
-    strict_printed_form: bool = False
 
     def __post_init__(self):
         if self.variant not in ("original", "modified"):
@@ -118,9 +107,8 @@ class MlpConfig:
         for name, (low, high) in limits.items():
             value = _check_int(name, getattr(self, name), low, high)
             object.__setattr__(self, name, value)
-        for name in ("estimate_z", "cache", "strict_printed_form"):
-            object.__setattr__(self, name,
-                               _check_bool(name, getattr(self, name)))
+        object.__setattr__(self, "estimate_z",
+                           _check_bool("estimate_z", self.estimate_z))
 
 
 @dataclass
@@ -302,8 +290,7 @@ def _modified_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
     and z_prev hold the first spine copy (the depth-0 zeros at k = 1).
 
     Stream layout per key: quadrature node j uses counters
-    [j M d, (j+1) M d) for the displacing increments; the optional
-    strict-form terminal increments live at [Q M d, (Q+1) M d).
+    [j M d, (j+1) M d) for the displacing increments.
     Children: the M spine copies are (level k-1, slot 0, replica i), the
     per-node sampled points are (level k-1, slot 1+j, replica i).
     """
@@ -326,14 +313,7 @@ def _modified_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
     z = z_prev = None
     if need_z:
         z_mat = spine.z.reshape(B, M, d)
-        if ctx.cfg.strict_printed_form:
-            tau = ctx.horizon - s
-            wt = normal_block(dig, ctx.Q * M * d, M * d).reshape(B, M, d)
-            wt *= math.sqrt(tau)
-            ctx.counters.gaussian_draws += B * M
-            z = (z_mat * wt).mean(axis=1) / tau
-        else:
-            z = z_mat.mean(axis=1)
+        z = z_mat.mean(axis=1)
         z_prev = z_mat[:, 0].copy()
 
     for node in nodes:
@@ -341,16 +321,9 @@ def _modified_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
         wv, pts = _displace(ctx, dig, xs, j * M * d, M, dt)
         pt_dig = child_digests(dig, k - 1, _POINT_SLOT + j, reps).reshape(-1)
         # one traversal yields both arguments; at k = 2 the subtrahend is
-        # the known depth-0 value, so nothing is reused.  With the cache off
-        # the second traversal it saves is counted, not run: it would read
-        # the same keys in the same shape, so it costs what this one did
-        # (cache_hits stays 0 with the cache off)
-        before = astuple(ctx.counters) if k > 2 and not ctx.cfg.cache else None
+        # the known depth-0 value, so nothing is reused
         pair = _modified_frame(ctx, pt_dig, pts, t_j, k - 1, ctx.uses_z)
-        if before is not None:
-            ctx.counters += CostCounters(*map(operator.sub,
-                                              astuple(ctx.counters), before))
-        elif k > 2:
+        if k > 2:
             ctx.counters.cache_hits += B * M
         y, z = _correct(ctx, node, wv, pair[:2], pair[2:], y, z)
     return _FrameResult(y, z, y_prev, z_prev)
@@ -395,11 +368,13 @@ def _original_frame(ctx: _Ctx, dig: np.ndarray, xs: np.ndarray, s: float,
     return _FrameResult(y, z, None, None)
 
 
-def _check_real(name: str, value) -> np.ndarray:
-    """value as an array of integer or float dtype, else a ValueError."""
+def _check_real(name: str, value, scalar: bool = False) -> np.ndarray:
+    """value as an integer or float array (0-d if scalar), else a ValueError."""
     array = np.asarray(value)
     if array.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be real, got {value!r}")
+    if scalar and array.ndim:
+        raise ValueError(f"{name} must be a scalar, got shape {array.shape}")
     return array
 
 
@@ -415,7 +390,7 @@ def _prepare_point(problem: BsdeProblem, x) -> np.ndarray:
 
 
 def _check_time(problem: BsdeProblem, t: float) -> float:
-    t = float(_check_real("t", t))
+    t = float(_check_real("t", t, scalar=True))
     if not 0.0 <= t < problem.horizon:
         raise InvalidTimeError(f"t must lie in [0, {problem.horizon}), got {t}")
     return t

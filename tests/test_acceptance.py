@@ -209,22 +209,31 @@ def test_07_bias_bound_dominates_observed_error():
             f"{checked} cells, worst observed-minus-bound {worst:.2e} <= 0")
 
 
+def _no_reuse_generator_evals(m, q, depth):
+    # the modified scheme with a second, independent subtrahend recursion
+    # at each sampled point: cost(1) = Q and cost(k) = M cost(k-1)
+    # + Q M (r cost(k-1) + 2), where r = 1 at k = 2 (the subtrahend is the
+    # known depth-0 value) and r = 2 from k = 3 on
+    cost = q
+    for k in range(2, depth + 1):
+        cost = m * cost + q * m * ((1 if k == 2 else 2) * cost + 2)
+    return cost
+
+
 def test_08_cache_reuse_halves_generator_evals():
     t0 = time.perf_counter()
     p = make_problem("bounded-nonlinear")
-    ok = True
+    # the no-reuse costs the former cache=False mode counted at M = Q = 2
+    no_reuse = {n: _no_reuse_generator_evals(2, 2, n) for n in (3, 4, 5)}
+    ok = no_reuse == {3: 208, 4: 2088, 5: 20888}
     ratios = []
     for depth in (3, 4, 5):
-        base = dict(variant="modified", depth=depth, base_samples=2,
-                    quad_order=2, seed=17)
-        with_cache = estimate(p, MlpConfig(cache=True, **base), 0.0, 0.0)
-        without = estimate(p, MlpConfig(cache=False, **base), 0.0, 0.0)
-        ok = ok and with_cache.y == without.y
-        ratio = (with_cache.cost.generator_evals
-                 / without.cost.generator_evals)
+        est = estimate(p, MlpConfig("modified", depth, 2, 2, seed=17),
+                       0.0, 0.0)
+        ratio = est.cost.generator_evals / no_reuse[depth]
         ratios.append(f"n={depth}: {ratio:.3f}")
         ok = ok and ratio <= 0.67
-    _finish(8, "reuse cache keeps y bit-identical and cuts generator evals",
+    _finish(8, "subtrahend reuse cuts generator evals against no reuse",
             120.0, t0, ok, "eval ratios " + ", ".join(ratios) + " <= 0.67")
 
 

@@ -12,8 +12,9 @@ from mlpicard import (InvalidTimeError, MissingBoundsError, MlpConfig,
                       TheoremNotApplicableError, deterministic_picard,
                       estimate, make_problem, run_replications, theorem_bound)
 from mlpicard import analysis, mlp
-from mlpicard.analysis import (MAX_ORACLE_DEPTH, _barycentric_weights,
-                               _interpolate, _reference_gauss)
+from mlpicard.analysis import (MAX_ORACLE_DEPTH, MAX_SPACE_QUAD,
+                               _barycentric_weights, _interpolate,
+                               _reference_gauss)
 from mlpicard.quadrature import quadrature_error_bound
 
 
@@ -184,7 +185,8 @@ def test_oracle_refusals():
         deterministic_picard(p, MAX_ORACLE_DEPTH + 1, 4, 0.0, 0.0)
     with pytest.raises(ValueError):
         deterministic_picard(p, -1, 4, 0.0, 0.0)
-    for bad in (7, 200.5, 200.0, True, "200"):
+    # 2**40 used to end in a bare MemoryError
+    for bad in (7, MAX_SPACE_QUAD + 1, 2**40, 200.5, 200.0, True, "200"):
         with pytest.raises(ValueError, match="space_quad"):
             deterministic_picard(p, 2, 4, 0.0, 0.0, space_quad=bad)
     # depth=1.5 used to die in a RecursionError and depth=True to run as 1
@@ -441,6 +443,20 @@ def test_replications_refuse_non_real_query_before_sampling(monkeypatch):
                        (0.0, True, "x")):
         with pytest.raises(ValueError, match=f"^{name} must be real"):
             run_replications(p, cfg, t, x, 2)
+
+
+def test_non_scalar_t_is_named():
+    # a list or a one-element array used to raise numpy's bare TypeError
+    p = make_problem("linear-y")
+    cfg = MlpConfig("modified", 2, 4, 4)
+    calls = (lambda t: estimate(p, cfg, t, 0.0),
+             lambda t: run_replications(p, cfg, t, 0.0, 2),
+             lambda t: deterministic_picard(p, 2, 4, t, 0.0),
+             lambda t: theorem_bound(p, cfg, t))
+    for call in calls:
+        for t in ([0.0, 0.1], np.array([0.1])):
+            with pytest.raises(ValueError, match="^t must be a scalar"):
+                call(t)
 
 
 def test_std_matches_analytic_scale_zero_gen():

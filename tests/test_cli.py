@@ -41,7 +41,8 @@ def test_solve_writes_csv_with_schema(tmp_path):
     row = rows[0]
     assert row["problem"] == "zero-gen"
     assert row["depth"] == "1"
-    assert row["cache"] == "true"
+    # fixed schema-1 columns
+    assert row["cache"] == "true" and row["strict_printed_form"] == "false"
     # zero-gen carries an analytic reference, so abs_error is populated
     assert float(row["abs_error"]) >= 0.0
     assert row["mean_z"] == ""  # z not requested
@@ -203,14 +204,23 @@ def test_config_wins_over_flags(tmp_path):
     assert row["depth"] == "1"
 
 
-def test_config_error_exit_codes(tmp_path):
+def test_config_error_exit_codes(tmp_path, capsys):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
     assert main(["sweep", "--config", str(bad_json)]) == EXIT_CONFIG
-    unknown_key = write_config(tmp_path, {
-        "schema_version": SCHEMA_VERSION, "depths": [1], "Ms": [4]},
-        name="unk.json")
-    assert main(["sweep", "--config", unknown_key]) == EXIT_CONFIG
+    # cache and strict_printed_form are no options: the subtrahend reuse
+    # and the plain z mean are the modified scheme itself
+    for key, value in (("Ms", [4]), ("cache", [False]),
+                       ("strict_printed_form", True)):
+        unknown_key = write_config(tmp_path, {
+            "schema_version": SCHEMA_VERSION, "depths": [1], key: value},
+            name="unk.json")
+        assert main(["sweep", "--config", unknown_key]) == EXIT_CONFIG
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
+    for flag in ("--no-cache", "--strict-printed-form"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--problem", "zero-gen", flag])
+        assert exc.value.code == EXIT_CONFIG
     bad_schema = write_config(tmp_path, {
         "schema_version": 99, "depths": [1]}, name="schema.json")
     assert main(["sweep", "--config", bad_schema]) == EXIT_CONFIG
@@ -229,26 +239,6 @@ def test_unwritable_output_exit_code(tmp_path):
                "--replications", "4",
                "--out", "/nonexistent-dir/deep/run.csv"])
     assert rc == EXIT_IO
-
-
-def test_cache_toggle_sweep(tmp_path):
-    cfg = write_config(tmp_path, {
-        "schema_version": SCHEMA_VERSION,
-        "problem": "bounded-nonlinear",
-        "depths": [4],
-        "samples": [2],
-        "quad_orders": [2],
-        "cache": [True, False],
-        "replications": 4,
-        "seed": 3,
-    })
-    out = tmp_path / "cache.csv"
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    on, off = read_csv(out)
-    assert on["cache"] == "true" and off["cache"] == "false"
-    assert on["mean_y"] == off["mean_y"]
-    ratio = float(on["generator_evals"]) / float(off["generator_evals"])
-    assert ratio <= 0.67
 
 
 def test_thread_count_does_not_change_results(tmp_path):

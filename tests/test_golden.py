@@ -8,8 +8,7 @@ checked for "same numbers".  Regenerate the file with
 ``PYTHONPATH=src python tests/test_golden.py`` only when the numbers are
 meant to change.
 
-The grid is variant x estimate_z x cache (modified only) x
-strict_printed_form (modified with z only), over d in {1, 4}, M in {2, 3},
+The grid is variant x estimate_z, over d in {1, 4}, M in {2, 3},
 Q in {1, 3}, depth 0..3 and t in {0, 0.3}, for a z-free and a z-coupled
 problem.  M = 3 matters: with M^n not a power of two, the order of the
 divisions in the depth-0 z terms, (sum/M^n)/tau and (sum/M^n) sqrt(dt),
@@ -37,27 +36,17 @@ def _bits(y, diff, costs, z):
             + ([] if z is None else [_hex(v) for v in z]))
 
 
-def _settings():
-    yield "original", False, True, False
-    yield "original", True, True, False
-    for z, cache in itertools.product((False, True), (True, False)):
-        for strict in ((False, True) if z else (False,)):
-            yield "modified", z, cache, strict
-
-
 def compute() -> dict:
     out = {}
-    grid = list(itertools.product(_settings(), (2, 3), (1, 3), range(4),
-                                  (0.0, 0.3)))
+    grid = list(itertools.product(("original", "modified"), (False, True),
+                                  (2, 3), (1, 3), range(4), (0.0, 0.3)))
     for name, d in itertools.product(("bounded-nonlinear", "z-coupled"),
                                      (1, 4)):
         p = make_problem(name, dim=d)
-        for (variant, z, cache, strict), m, q, depth, t in grid:
-            cfg = MlpConfig(variant, depth, m, q, seed=SEED, estimate_z=z,
-                            cache=cache, strict_printed_form=strict)
+        for variant, z, m, q, depth, t in grid:
+            cfg = MlpConfig(variant, depth, m, q, seed=SEED, estimate_z=z)
             est = estimate(p, cfg, t, X)
-            key = (f"{name} d={d} {variant} z={z} cache={cache} "
-                   f"strict={strict} M={m} Q={q} n={depth} t={t}")
+            key = f"{name} d={d} {variant} z={z} M={m} Q={q} n={depth} t={t}"
             out[key] = _bits(est.y, est.diff_accum, asdict(est.cost), est.z)
 
     p = make_problem("z-coupled", dim=4)

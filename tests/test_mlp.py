@@ -20,7 +20,7 @@ def cfg_for(variant, depth, m=2, q=2, **kw):
 
 # --- independent counter recurrences -----------------------------------
 
-def modified_counts(m, q, depth, cache, need_z=False):
+def modified_counts(m, q, depth, need_z=False):
     """Expected (generator, terminal, gaussian, cache_hit) counters.
 
     z propagates down the spine only: for a z-free generator the point
@@ -32,16 +32,10 @@ def modified_counts(m, q, depth, cache, need_z=False):
             return q, m + (1 if z else 0), m + (q * m if z else 0), 0
         ga, ta, ua, ha = rec(k - 1, z)
         gb, tb, ub, hb = rec(k - 1, False)
-        if k == 2 or cache:
-            gen = m * ga + q * m * (gb + 2)
-            term = m * ta + q * m * tb
-            gauss = q * m + m * ua + q * m * ub
-            hits = m * ha + q * m * hb + (q * m if k >= 3 else 0)
-        else:
-            gen = m * ga + q * m * (2 * gb + 2)
-            term = m * ta + q * m * 2 * tb
-            gauss = q * m + m * ua + q * m * 2 * ub
-            hits = 0
+        gen = m * ga + q * m * (gb + 2)
+        term = m * ta + q * m * tb
+        gauss = q * m + m * ua + q * m * ub
+        hits = m * ha + q * m * hb + (q * m if k >= 3 else 0)
         return gen, term, gauss, hits
     return rec(depth, need_z)
 
@@ -73,14 +67,10 @@ def observed_counts(est):
 
 def test_generator_count_frozen_values():
     p = make_problem("bounded-nonlinear")
-    frozen_on = {1: 2, 2: 20, 3: 128, 4: 776, 5: 4664}
-    frozen_off = {1: 2, 2: 20, 3: 208, 4: 2088, 5: 20888}
+    frozen_mod = {1: 2, 2: 20, 3: 128, 4: 776, 5: 4664}
     frozen_orig = {1: 2, 2: 18, 3: 122, 4: 810}
-    for n, want in frozen_on.items():
+    for n, want in frozen_mod.items():
         est = estimate(p, cfg_for("modified", n), 0.0, 0.0)
-        assert est.cost.generator_evals == want
-    for n, want in frozen_off.items():
-        est = estimate(p, cfg_for("modified", n, cache=False), 0.0, 0.0)
         assert est.cost.generator_evals == want
     for n, want in frozen_orig.items():
         est = estimate(p, cfg_for("original", n), 0.0, 0.0)
@@ -91,13 +81,11 @@ def test_all_counters_match_recurrences():
     p = make_problem("bounded-nonlinear")
     for m, q in [(2, 2), (3, 1), (2, 3)]:
         for z in (False, True):
-            for cache in (True, False):
-                for n in range(1, 5):
-                    cfg = cfg_for("modified", n, m, q, cache=cache,
-                                  estimate_z=z, seed=5)
-                    est = estimate(p, cfg, 0.0, 0.0)
-                    assert observed_counts(est) == modified_counts(
-                        m, q, n, cache, z), (m, q, n, cache, z)
+            for n in range(1, 5):
+                cfg = cfg_for("modified", n, m, q, estimate_z=z, seed=5)
+                est = estimate(p, cfg, 0.0, 0.0)
+                assert observed_counts(est) == modified_counts(
+                    m, q, n, z), (m, q, n, z)
             for n in range(1, 4):
                 cfg = cfg_for("original", n, m, q, estimate_z=z, seed=5)
                 est = estimate(p, cfg, 0.0, 0.0)
@@ -124,18 +112,6 @@ def test_depth_one_variants_bit_equal():
                                 estimate_z=True, seed=9), 0.2, 0.3)
         assert a.y == b.y
         assert np.array_equal(a.z, b.z)
-
-
-def test_cache_on_off_bit_identical_y():
-    p = make_problem("bounded-nonlinear")
-    for n in (3, 4):
-        on = estimate(p, cfg_for("modified", n, seed=3), 0.0, 0.5)
-        off = estimate(p, cfg_for("modified", n, seed=3, cache=False),
-                       0.0, 0.5)
-        assert on.y == off.y
-        assert on.diff_accum == off.diff_accum
-        assert on.cost.generator_evals < off.cost.generator_evals
-        assert on.cost.cache_hits > 0 and off.cost.cache_hits == 0
 
 
 def test_determinism_and_seed_sensitivity():
@@ -178,15 +154,15 @@ def test_paired_recursion_replays_exactly():
     # k = 1 the replay is the depth-0 zero
     p = make_problem("bounded-nonlinear", dim=2)
     root = StreamKey.from_seed(13)
-    for depth, cache in itertools.product((1, 2, 3, 4), (True, False)):
+    for depth in (1, 2, 3, 4):
         est = estimate(p, cfg_for("modified", depth, 3, 2, seed=13,
-                                  estimate_z=True, cache=cache), 0.0, 0.4)
+                                  estimate_z=True), 0.0, 0.4)
         replay = estimate(p, cfg_for("modified", depth - 1, 3, 2,
                                      estimate_z=True), 0.0, 0.4,
                           key=child_key(root, depth - 1, 0, 0))
         assert type(est.y_prev) is float
-        assert est.y_prev.hex() == replay.y.hex(), (depth, cache)
-        assert est.z_prev.tobytes() == replay.z.tobytes(), (depth, cache)
+        assert est.y_prev.hex() == replay.y.hex(), depth
+        assert est.z_prev.tobytes() == replay.z.tobytes(), depth
     assert estimate(p, cfg_for("modified", 3, 3, 2, seed=13),
                     0.0, 0.4).z_prev is None
 
@@ -197,33 +173,6 @@ def test_prev_is_none_for_original_and_depth_zero():
                            ("original", 3), ("modified", 0)):
         est = estimate(p, cfg_for(variant, depth, estimate_z=True), 0.0, 0.1)
         assert est.y_prev is None and est.z_prev is None, (variant, depth)
-
-
-def test_cache_off_counts_the_replay_without_running_it(monkeypatch):
-    # the traversal the cache saves would read the same keys in the same
-    # shape, so cache off draws exactly what cache on draws and moves
-    # only the counters, to the cache-off recurrence
-    p = make_problem("bounded-nonlinear", dim=2)
-    calls = []
-
-    def counting(*args):
-        calls.append(args[1:])
-        return sampling.normal_block(*args)
-
-    monkeypatch.setattr(mlp, "normal_block", counting)
-    for n in (3, 4):
-        runs = []
-        for cache in (True, False):
-            calls.clear()
-            cfg = cfg_for("modified", n, 2, 3, seed=5, estimate_z=True,
-                          cache=cache)
-            runs.append((estimate(p, cfg, 0.0, 0.2), list(calls)))
-        (on, on_calls), (off, off_calls) = runs
-        assert off_calls == on_calls, n
-        assert off.y.hex() == on.y.hex() and off.diff_accum == on.diff_accum
-        assert off.z.tobytes() == on.z.tobytes()
-        assert observed_counts(off) == modified_counts(2, 3, n, False, True)
-        assert observed_counts(on) == modified_counts(2, 3, n, True, True)
 
 
 def test_z_estimate_accuracy_zero_gen():
@@ -246,31 +195,17 @@ def test_z_shape_and_absence():
     assert with_z.y == without.y
 
 
-def test_strict_printed_form_changes_z_not_y():
-    p = make_problem("zero-gen")
-    base = cfg_for("modified", 2, 50, 2, seed=4, estimate_z=True)
-    strict = cfg_for("modified", 2, 50, 2, seed=4, estimate_z=True,
-                     strict_printed_form=True)
-    a = estimate(p, base, 0.0, 0.7)
-    b = estimate(p, strict, 0.0, 0.7)
-    assert a.y == b.y
-    assert not np.array_equal(a.z, b.z)
-
-
-def test_strict_printed_form_z_degenerates():
-    # the reason strict_printed_form is kept only for comparison: its z
-    # centres on 0, while the default z centres on grad u
+def test_modified_z_centres_on_gradient():
+    # the plain mean of the copies' z stays centred on grad u at depth >= 2
     p = make_problem("zero-gen")
     grad = -math.exp(-0.5) * math.sin(0.3)
     root = np.array([StreamKey.from_seed(3).digest], dtype=np.uint64)
     digests = child_digests(root, REPLICATION_LEVEL, 0, np.arange(400))[0]
     for depth in (2, 3):
-        for strict, centre in ((True, 0.0), (False, grad)):
-            cfg = cfg_for("modified", depth, 8, 2, estimate_z=True,
-                          strict_printed_form=strict)
-            z = run_batch(p, cfg, 0.0, 0.3, digests)[1][:, 0]
-            sigma = z.std(ddof=1) / math.sqrt(z.size)
-            assert abs(z.mean() - centre) < 4.0 * sigma, (depth, strict)
+        cfg = cfg_for("modified", depth, 8, 2, estimate_z=True)
+        z = run_batch(p, cfg, 0.0, 0.3, digests)[1][:, 0]
+        sigma = z.std(ddof=1) / math.sqrt(z.size)
+        assert abs(z.mean() - grad) < 4.0 * sigma, depth
 
 
 def test_z_coupled_problem_runs_both_variants():
@@ -371,14 +306,12 @@ def test_config_validation():
                 MlpConfig(**fields)
     MlpConfig("modified", np.int64(2), np.int32(2), np.uint8(2),
               seed=np.uint64(7))
-    # cache="no" used to keep the cache on and estimate_z="false" to
-    # estimate z
-    for name in ("estimate_z", "cache", "strict_printed_form"):
-        for bad in ("no", "false", None, 0, 1):
-            with pytest.raises(ValueError, match=name):
-                MlpConfig("modified", 2, 2, 2, **{name: bad})
-        cfg = MlpConfig("modified", 2, 2, 2, **{name: np.bool_(False)})
-        assert getattr(cfg, name) is False
+    # estimate_z="false" used to estimate z
+    for bad in ("no", "false", None, 0, 1):
+        with pytest.raises(ValueError, match="estimate_z"):
+            MlpConfig("modified", 2, 2, 2, estimate_z=bad)
+    assert MlpConfig("modified", 2, 2, 2,
+                     estimate_z=np.bool_(False)).estimate_z is False
 
 
 def test_numpy_integers_give_python_integer_bits():
