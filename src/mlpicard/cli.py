@@ -1,13 +1,14 @@
-"""Experiment runner: solve single cells, sweep parameter grids, validate
-declared problem bounds, and query the deterministic d=1 oracle.
+"""Experiment runner: solve a grid of estimator cells, validate declared
+problem bounds, and query the deterministic d=1 oracle.
 
-Experiments come from JSON config files (schema_version 1) and/or flags;
-when both give a value for experiment content (problem, grids, query
-point, seed, ...) the config file wins, and a value that neither gives
-takes its default from Experiment.  Execution concerns (threads, output
-path, format) come from flags.  Cells run one after another; each cell's
-replications run in slices on at most --threads worker threads (default:
-every core).
+One command, solve (alias sweep), runs every experiment.  Experiments
+come from a JSON config file (schema_version 1) and/or flags; when both
+give a value for experiment content (problem, grids, query point,
+seed, ...) the config file wins, and a value that neither gives takes
+its default from Experiment.  Execution concerns (threads, output path,
+format) come from flags.  Cells run one after another; each cell's
+replications run in slices on at most --threads worker threads, a count
+(default: every core).
 
 Config keys: schema_version, plus one key per Experiment field, with
 dim, horizon and alpha inside an "overrides" object.  The grid keys
@@ -112,7 +113,6 @@ class Experiment:
     replications: int = 16
     seed: int = 0
     estimate_z: bool = False
-    theorem_bounds: bool = True
 
     def build_problem(self):
         return make_problem(self.problem, dim=self.dim, horizon=self.horizon,
@@ -130,9 +130,6 @@ _TYPES = get_type_hints(Experiment)
 _OVERRIDE_KEYS = {f.name for f in _FIELDS if f.metadata.get("override")}
 _CONFIG_KEYS = ({f.name for f in _FIELDS} - _OVERRIDE_KEYS
                 | {"schema_version", "overrides"})
-# flags whose dest is not the name of the field they set
-_FLAG_DEST = {"variants": "variant", "depths": "depth",
-              "quad_orders": "quad_order"}
 _KIND_NAMES = {bool: "booleans", int: "integers", float: "numbers",
                str: "strings"}
 # CSV column -> TheoremBound field
@@ -176,7 +173,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError("config root must be a JSON object")
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        raise ConfigError("unknown config keys: "
+                          + ", ".join(map(repr, sorted(unknown))))
     version = data.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}; "
@@ -191,13 +189,10 @@ def _load_config(path: str) -> dict:
 
 
 def _parse_x(raw: str):
-    parts = [p for p in raw.split(",") if p.strip() != ""]
-    try:
-        vals = [float(p) for p in parts]
+    try:  # an empty part, as in "0.1,,0.2" or "0.3,", is refused
+        vals = [float(p) for p in raw.split(",")]
     except ValueError as exc:
         raise ConfigError(f"cannot parse x value {raw!r}") from exc
-    if not vals:
-        raise ConfigError(f"cannot parse x value {raw!r}")
     return vals[0] if len(vals) == 1 else vals
 
 
@@ -211,12 +206,12 @@ def _resolve(args, config: dict) -> Experiment:
         if f.name in source:
             value = source[f.name]
         else:
-            value = getattr(args, _FLAG_DEST.get(f.name, f.name), None)
+            value = getattr(args, f.name, None)
             if value is None:
                 continue
             if f.name == "x":
                 value = _parse_x(value)
-            elif value == "both":  # --variant both
+            elif f.name == "variants" and value == "both":
                 value = ["original", "modified"]
         values[f.name] = _typed(f.name, value, _TYPES[f.name])
     name = values.get("problem")
@@ -253,14 +248,12 @@ def _run_cell(exp: Experiment, problem, cfg: MlpConfig,
     stats = run_replications(problem, cfg, exp.t, exp.x, exp.replications,
                              threads=threads)
     wall = time.perf_counter() - start
-    bounds = dict.fromkeys(_BOUND_COLUMNS)  # empty cells: not requested
-    if exp.theorem_bounds:
-        try:
-            tb = theorem_bound(problem, cfg, exp.t)
-            bounds = {col: getattr(tb, name)
-                      for col, name in _BOUND_COLUMNS.items()}
-        except (TheoremNotApplicableError, MissingBoundsError):
-            bounds = dict.fromkeys(_BOUND_COLUMNS, "n/a")
+    try:
+        tb = theorem_bound(problem, cfg, exp.t)
+        bounds = {col: getattr(tb, name)
+                  for col, name in _BOUND_COLUMNS.items()}
+    except (TheoremNotApplicableError, MissingBoundsError):
+        bounds = dict.fromkeys(_BOUND_COLUMNS, "n/a")
     return {**vars(stats), **asdict(exp), **asdict(cfg), **stats.mean_cost,
             **bounds, **_FIXED_COLUMNS, "wall_time_s": wall}
 
@@ -317,28 +310,15 @@ def _write_results(rows, exp: Experiment, out: Optional[str], fmt: str):
         raise OutputError(f"cannot write results to {out!r}: {exc}") from exc
 
 
-def _thread_count(args) -> Optional[int]:
-    """--threads as a count; None (every core) when unset or 'auto'."""
-    raw = args.threads
-    if raw is None or raw == "auto":
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"thread count must be an integer or 'auto', got {raw!r}")
-    return _check_int("thread count", n, 1)
-
-
 def _cmd_experiment(args) -> int:
-    if args.command == "sweep" and not args.config:
-        raise ConfigError("sweep requires --config")
+    if args.threads is not None:  # inside a cell, 0 would fail every cell
+        _check_int("thread count", args.threads, 1)
     config = _load_config(args.config) if args.config else {}
     exp, problem, cells = _build_experiment(args, config)
-    threads = _thread_count(args)
     rows, failures = [], []
     for cfg in cells:
         try:
-            rows.append(_run_cell(exp, problem, cfg, threads))
+            rows.append(_run_cell(exp, problem, cfg, args.threads))
         except Exception as exc:  # cell failures are enumerated, not fatal
             failures.append((cfg, exc))
     _write_results(rows, exp, args.out, args.format)
@@ -369,7 +349,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     exp = _resolve(args, {})
-    value = deterministic_picard(exp.build_problem(), args.depth,
+    value = deterministic_picard(exp.build_problem(), exp.depths[0],
                                  exp.quad_orders[0], exp.t, exp.x,
                                  space_quad=args.space_quad)
     print(format(value, ".17g"))
@@ -394,41 +374,33 @@ def _add_query_flags(p: argparse.ArgumentParser):
     p.add_argument("--x", help="query point: scalar or comma-separated vector")
 
 
-def _add_exec_flags(p: argparse.ArgumentParser):
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--threads", default=None,
-                   help="most threads working at once, capped at the cores: "
-                        "a count or 'auto' (default: every core)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mlpicard",
         description="Multilevel Picard experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="run a single estimator cell")
+    solve = sub.add_parser("solve", aliases=["sweep"],
+                           help="run a grid of estimator cells")
     _add_problem_flags(solve)
     _add_query_flags(solve)
     solve.add_argument("--seed", type=int)
-    _add_exec_flags(solve)
+    solve.add_argument("--out", default=None,
+                       help="output path (default stdout)")
+    solve.add_argument("--threads", type=int, default=None,
+                       help="most threads working at once, capped at the "
+                            "cores (default: every core)")
+    solve.add_argument("--format", choices=("csv", "json"), default="csv")
     solve.add_argument("--config")
-    solve.add_argument("--variant", choices=("original", "modified", "both"))
-    solve.add_argument("--depth", type=int)
+    solve.add_argument("--variant", dest="variants",
+                       choices=("original", "modified", "both"))
+    solve.add_argument("--depth", dest="depths", type=int, metavar="DEPTH")
     solve.add_argument("--samples", type=int)
-    solve.add_argument("--quad-order", type=int)
+    solve.add_argument("--quad-order", dest="quad_orders", type=int,
+                       metavar="QUAD_ORDER")
     solve.add_argument("--replications", type=int)
     solve.add_argument("--estimate-z", action="store_true", default=None)
-    solve.add_argument("--no-theorem-bounds", dest="theorem_bounds",
-                       action="store_false", default=None)
     solve.set_defaults(func=_cmd_experiment)
-
-    sweep = sub.add_parser("sweep", help="run a config-defined grid")
-    _add_exec_flags(sweep)
-    sweep.add_argument("--config")
-    sweep.add_argument("--seed", type=int)
-    sweep.set_defaults(func=_cmd_experiment)
 
     val = sub.add_parser("validate", help="spot-check declared bounds")
     _add_problem_flags(val, required=True)
@@ -438,8 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="deterministic d=1 fixed-point value")
     _add_problem_flags(oracle, required=True)
-    oracle.add_argument("--depth", type=int, required=True)
-    oracle.add_argument("--quad-order", type=int)
+    oracle.add_argument("--depth", dest="depths", type=int, required=True,
+                        metavar="DEPTH")
+    oracle.add_argument("--quad-order", dest="quad_orders", type=int,
+                        metavar="QUAD_ORDER")
     _add_query_flags(oracle)
     oracle.add_argument("--space-quad", type=int, default=200)
     oracle.set_defaults(func=_cmd_oracle)

@@ -276,22 +276,23 @@ def test_10_thread_count_invariance(tmp_path):
              "--variant", "both", "--depth", "3", "--samples", "4",
              "--replications", "12", "--estimate-z", "--seed", "5"]
     outputs = {}
-    # a sweep and a one-cell-per-variant solve, each at 1 and auto threads
+    # a sweep and a one-cell-per-variant solve, each on one thread and with
+    # --threads unset (every core)
     for label, argv in (("sweep", ["sweep", "--config", str(config)]),
                         ("solve", solve)):
-        for threads in ("1", "auto"):
+        for threads in (["--threads", "1"], []):
             out = tmp_path / "out.csv"
-            assert cli_main(argv + ["--threads", threads,
-                                    "--out", str(out)]) == 0
+            assert cli_main(argv + threads + ["--out", str(out)]) == 0
             with open(out, newline="") as fh:
                 # wall_time_s is the last column and the only one that differs
-                outputs[label, threads] = [row[:-1] for row in csv.reader(fh)]
-    same = all(outputs[label, "1"] == outputs[label, "auto"]
+                outputs[label, bool(threads)] = [row[:-1]
+                                                 for row in csv.reader(fh)]
+    same = all(outputs[label, True] == outputs[label, False]
                for label in ("sweep", "solve"))
     _finish(10, "output invariant to worker thread count", 60.0, t0, same,
-            f"{len(outputs['sweep', '1']) - 1} sweep rows and "
-            f"{len(outputs['solve', '1']) - 1} solve rows byte-identical at "
-            "1 vs auto threads, wall time excluded")
+            f"{len(outputs['sweep', True]) - 1} sweep rows and "
+            f"{len(outputs['solve', True]) - 1} solve rows byte-identical at "
+            "--threads 1 vs unset (every core), wall time excluded")
 
 
 def test_11_factorial_and_binomial_inequalities():

@@ -71,6 +71,13 @@ def test_solve_both_variants_gives_two_rows(tmp_path):
     assert [r["variant"] for r in rows] == ["original", "modified"]
     # depth-1 variants are the same estimator on the same streams
     assert rows[0]["mean_y"] == rows[1]["mean_y"]
+    # sweep is solve's alias: the same flags, no config, the same CSV
+    swept = tmp_path / "swept.csv"
+    assert main(["sweep", "--problem", "zero-gen", "--variant", "both",
+                 "--depth", "1", "--samples", "100", "--replications", "4",
+                 "--out", str(swept)]) == EXIT_OK
+    assert [{**r, "wall_time_s": ""} for r in read_csv(swept)] == \
+        [{**r, "wall_time_s": ""} for r in rows]
 
 
 def test_json_format(tmp_path):
@@ -143,26 +150,23 @@ def test_z_coupled_bounds_marked_not_applicable(tmp_path):
     assert row["variance_bound"] == "n/a"
 
 
-def test_no_theorem_bounds_leaves_cells_empty(tmp_path):
-    out = tmp_path / "nb.csv"
-    main(["solve", "--problem", "linear-y", "--depth", "2",
-          "--replications", "4", "--no-theorem-bounds", "--out", str(out)])
-    row = read_csv(out)[0]
-    assert row["bias_bound"] == ""
-
-
 def test_unknown_problem_exit_code(tmp_path, capsys):
     for argv in (["solve", "--problem", "equity-basket", "--out",
                   str(tmp_path / "x.csv")],
                  ["validate", "--problem", "equity-basket"],
-                 ["oracle", "--problem", "equity-basket", "--depth", "1"]):
+                 ["oracle", "--problem", "equity-basket", "--depth", "1"],
+                 # "both" expands --variant only, so it is no problem name
+                 ["solve", "--problem", "both", "--out",
+                  str(tmp_path / "both.csv")]):
         rc = main(argv)
         assert rc == EXIT_UNKNOWN_PROBLEM
-        assert "equity-basket" in capsys.readouterr().err
+        assert f"unknown problem {argv[2]!r}" in capsys.readouterr().err
 
 
 def test_sweep_requires_config(capsys):
+    # neither a config nor a flag names the problem
     assert main(["sweep"]) == EXIT_CONFIG
+    assert "no problem name" in capsys.readouterr().err
 
 
 def test_sweep_grid_and_row_order(tmp_path):
@@ -209,17 +213,20 @@ def test_config_error_exit_codes(tmp_path, capsys):
     bad_json.write_text("{not json")
     assert main(["sweep", "--config", str(bad_json)]) == EXIT_CONFIG
     # cache and strict_printed_form are no options: the subtrahend reuse
-    # and the plain z mean are the modified scheme itself
+    # and the plain z mean are the modified scheme itself; theorem bounds
+    # are always written
     for key, value in (("Ms", [4]), ("cache", [False]),
-                       ("strict_printed_form", True)):
+                       ("strict_printed_form", True),
+                       ("theorem_bounds", False)):
         unknown_key = write_config(tmp_path, {
             "schema_version": SCHEMA_VERSION, "depths": [1], key: value},
             name="unk.json")
         assert main(["sweep", "--config", unknown_key]) == EXIT_CONFIG
-        assert f"unknown config keys: {key}" in capsys.readouterr().err
-    for flag in ("--no-cache", "--strict-printed-form"):
+        assert f"unknown config keys: {key!r}" in capsys.readouterr().err
+    for flags in (["--no-cache"], ["--strict-printed-form"],
+                  ["--no-theorem-bounds"], ["--threads", "auto"]):
         with pytest.raises(SystemExit) as exc:
-            main(["solve", "--problem", "zero-gen", flag])
+            main(["solve", "--problem", "zero-gen", *flags])
         assert exc.value.code == EXIT_CONFIG
     bad_schema = write_config(tmp_path, {
         "schema_version": 99, "depths": [1]}, name="schema.json")
@@ -290,7 +297,7 @@ def test_oracle_rejects_non_finite_point(capsys):
     assert "finite" in capsys.readouterr().err
 
 
-def test_invalid_flag_values_are_config_errors(tmp_path):
+def test_invalid_flag_values_are_config_errors(tmp_path, capsys):
     assert main(["solve", "--problem", "zero-gen", "--depth", "99",
                  "--out", str(tmp_path / "a.csv")]) == EXIT_CONFIG
     assert main(["solve", "--problem", "zero-gen", "--replications", "1",
@@ -299,6 +306,25 @@ def test_invalid_flag_values_are_config_errors(tmp_path):
                  "--out", str(tmp_path / "c.csv")]) == EXIT_CONFIG
     assert main(["solve", "--problem", "zero-gen", "--x", "0.1,0.2",
                  "--out", str(tmp_path / "d.csv")]) == EXIT_CONFIG
+    # an empty part of --x used to be dropped silently
+    for x in ("0.1,,0.2", "0.3,"):
+        assert main(["solve", "--problem", "zero-gen", "--depth", "1",
+                     "--replications", "4", "--x", x,
+                     "--out", str(tmp_path / "e.csv")]) == EXIT_CONFIG
+        assert "x value" in capsys.readouterr().err
+    # --threads is a count of at least 1, refused before any cell runs;
+    # argparse refuses a non-integer with exit 2
+    out = tmp_path / "threads.csv"
+    for threads in ("0", "-1", "auto", "1.5"):
+        argv = ["solve", "--problem", "zero-gen", "--depth", "1",
+                "--replications", "4", "--threads", threads, "--out", str(out)]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == EXIT_CONFIG, threads
+        assert "thread" in capsys.readouterr().err, threads
+        assert not out.exists(), threads
 
 
 @pytest.mark.parametrize("key, value", [
@@ -307,7 +333,7 @@ def test_invalid_flag_values_are_config_errors(tmp_path):
     ("seed", True),
     ("overrides", {"dim": 2.5}),
     ("estimate_z", "false"),
-    ("theorem_bounds", "no"),
+    ("theorem_bounds", "no"),  # no longer a key: refused as unknown
     ("x", "0.5"),
 ])
 def test_wrongly_typed_config_values_are_refused(tmp_path, capsys, key, value):
