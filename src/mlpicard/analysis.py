@@ -53,10 +53,10 @@ from typing import Optional
 import numpy as np
 
 from .mlp import (REPLICATION_LEVEL, CostCounters, InvalidTimeError,
-                  MlpConfig, _check_real, _check_time, _prepare_point,
+                  MlpConfig, _check_finite, _check_query, _check_real,
                   run_batch, working_set)
 from .problems import BsdeProblem, ProblemBounds, _check_int
-from .quadrature import MAX_ORDER, NonFiniteIntegrandError, build_rule
+from .quadrature import MAX_ORDER, build_rule
 from .sampling import StreamKey, child_digests
 
 MAX_ORACLE_DEPTH = 6
@@ -306,6 +306,9 @@ def deterministic_picard(problem: BsdeProblem, depth: int, quad_order: int,
     depth is capped at 6 because the time-node tree grows like
     quad_order^depth, and space_quad at MAX_SPACE_QUAD = 512, which holds
     the buffer of space_quad^2 x 64 floats allocated up front to 128 MiB.
+    Trees below the estimators' singularity floor raise InvalidTimeError:
+    at depth 6 and t = 0 that leaves Q <= 11, at most 177,156 memo
+    vectors, about 283 MB at space_quad 200.
     """
     if problem.dim != 1:
         raise OracleUnavailableError(
@@ -317,8 +320,7 @@ def deterministic_picard(problem: BsdeProblem, depth: int, quad_order: int,
     depth = _check_int("depth", depth, 0, MAX_ORACLE_DEPTH)
     quad_order = _check_int("quad_order", quad_order, 1, MAX_ORDER)
     space_quad = _check_int("space_quad", space_quad, 8, MAX_SPACE_QUAD)
-    t = _check_time(problem, t)
-    x0 = float(_prepare_point(problem, x)[0])
+    t, (x0,) = _check_query(problem, depth, quad_order, t, x)
     if depth == 0:
         return 0.0
     oracle = _Oracle(problem, quad_order, space_quad, x0)
@@ -329,10 +331,7 @@ def deterministic_picard(problem: BsdeProblem, depth: int, quad_order: int,
     hit = np.abs(diff) < _NODE_HIT
     w = lam / np.where(hit, 1.0, diff)
     value = float(np.where(hit.any(), hit, w / w.sum()) @ final)
-    if not math.isfinite(value):
-        raise NonFiniteIntegrandError(
-            "oracle value is not finite: the terminal condition or the "
-            "generator returned NaN or infinity")
+    _check_finite(value)
     return value
 
 
@@ -370,8 +369,7 @@ def run_replications(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
     """
     R = _check_int("replications", replications, 2)
     threads = CORES if threads is None else _check_int("threads", threads, 1)
-    t = _check_time(problem, t)
-    x = _prepare_point(problem, x)
+    t, x = _check_query(problem, cfg.depth, cfg.quad_order, t, x)
     root = np.array([StreamKey.from_seed(cfg.seed).digest], dtype=np.uint64)
     digests = child_digests(root, REPLICATION_LEVEL, 0, np.arange(R))[0]
 

@@ -30,8 +30,9 @@ goes into one JSON document, with non-finite floats as the CSV's strings
 Exit codes: 0 all cells completed (validate: no declared bound was
 violated); 1 some cells failed (completed rows are still written,
 failures are enumerated on stderr), or validate found a declared bound
-violated; 2 bad config or usage; 3 unknown problem name; 4 output could
-not be written.
+violated; 2 bad config or usage, such as a cell whose recursion tree
+falls below the singularity floor, before any cell runs; 3 unknown
+problem name; 4 output could not be written.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 from . import __version__
 from .analysis import (MissingBoundsError, TheoremNotApplicableError,
                        deterministic_picard, run_replications, theorem_bound)
-from .mlp import MlpConfig, _check_time, _prepare_point
+from .mlp import MlpConfig, _check_query
 from .problems import (_check_int, make_problem, problem_names,
                        validate_assumptions)
 
@@ -225,20 +226,16 @@ def _resolve(args, config: dict) -> Experiment:
 
 def _build_experiment(args, config: dict):
     """The experiment, its problem and one MlpConfig per grid cell, each
-    built once; any invalid value is a ConfigError before a cell runs."""
+    built once; any invalid value is a ValueError before a cell runs."""
     exp = _resolve(args, config)
-    try:
-        _check_int("replications", exp.replications, 2)
-        problem = exp.build_problem()
-        _check_time(problem, exp.t)
-        _prepare_point(problem, exp.x)
-        cells = [MlpConfig(variant=variant, depth=depth, base_samples=m,
-                           quad_order=q, seed=exp.seed,
-                           estimate_z=exp.estimate_z)
-                 for variant, depth, m, q in product(
-                     exp.variants, exp.depths, exp.samples, exp.quad_orders)]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    _check_int("replications", exp.replications, 2)
+    problem = exp.build_problem()
+    cells = [MlpConfig(variant=variant, depth=depth, base_samples=m,
+                       quad_order=q, seed=exp.seed, estimate_z=exp.estimate_z)
+             for variant, depth, m, q in product(
+                 exp.variants, exp.depths, exp.samples, exp.quad_orders)]
+    for cfg in cells:
+        _check_query(problem, cfg.depth, cfg.quad_order, exp.t, exp.x)
     return exp, problem, cells
 
 

@@ -148,12 +148,11 @@ class _FrameResult(NamedTuple):
 class _Ctx:
     """Per-run state threaded through the recursion."""
 
-    __slots__ = ("problem", "cfg", "d", "horizon", "M", "Q", "uses_z",
+    __slots__ = ("problem", "d", "horizon", "M", "Q", "uses_z",
                  "counters", "diff", "groups")
 
     def __init__(self, problem: BsdeProblem, cfg: MlpConfig, groups: int):
         self.problem = problem
-        self.cfg = cfg
         self.d = problem.dim
         self.horizon = problem.horizon
         self.M = cfg.base_samples
@@ -378,7 +377,21 @@ def _check_real(name: str, value, scalar: bool = False) -> np.ndarray:
     return array
 
 
-def _prepare_point(problem: BsdeProblem, x) -> np.ndarray:
+def _check_query(problem: BsdeProblem, depth: int, quad_order: int, t,
+                 x) -> tuple[float, np.ndarray]:
+    """(t, x) as a float and a (d,) float array, checked before any work
+    on a depth-depth tree of order-quad_order rules: t must lie in [0, T),
+    the tree's narrowest interval must be above SINGULARITY_FLOOR, and x
+    must be real, finite, and a scalar or of shape (d,)."""
+    t = float(_check_real("t", t, scalar=True))
+    if not 0.0 <= t < problem.horizon:
+        raise InvalidTimeError(f"t must lie in [0, {problem.horizon}), got {t}")
+    # each frame shrinks the remaining time T - s by at least the factor
+    # r = (1 + c_1)/2 (c_1 the smallest Legendre root), both to its first
+    # node and to the children it spawns there, so the narrowest interval
+    # of a depth-n tree is (T - t) r^n
+    r = 0.5 * (1.0 + float(legendre_roots(quad_order)[0]))
+    _check_interval((problem.horizon - t) * r ** depth)
     x = _check_real("x", x).astype(np.float64)
     if x.ndim == 0:
         x = np.full(problem.dim, float(x))
@@ -386,29 +399,13 @@ def _prepare_point(problem: BsdeProblem, x) -> np.ndarray:
         raise ValueError(f"x must be scalar or shape ({problem.dim},), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError(f"x must be finite, got {x}")
-    return x
-
-
-def _check_time(problem: BsdeProblem, t: float) -> float:
-    t = float(_check_real("t", t, scalar=True))
-    if not 0.0 <= t < problem.horizon:
-        raise InvalidTimeError(f"t must lie in [0, {problem.horizon}), got {t}")
-    return t
-
-
-def _check_tree(problem: BsdeProblem, cfg: MlpConfig, t: float) -> None:
-    # each frame shrinks the remaining time T - s by at least the factor
-    # r = (1 + c_1)/2 (c_1 the smallest Legendre root), both to its first
-    # node and to the children it spawns there, so the narrowest interval
-    # of a depth-n tree is (T - t) r^n; refuse it before any sampling
-    r = 0.5 * (1.0 + float(legendre_roots(cfg.quad_order)[0]))
-    _check_interval((problem.horizon - t) * r ** cfg.depth)
+    return t, x
 
 
 def _check_finite(*values: Optional[np.ndarray]) -> None:
     if not all(v is None or np.isfinite(v).all() for v in values):
         raise NonFiniteIntegrandError(
-            "estimate is not finite: the terminal condition or the "
+            "result is not finite: the terminal condition or the "
             "generator returned NaN or infinity")
 
 
@@ -433,9 +430,7 @@ def _evaluate(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
     that the values are finite; z and z_prev are None unless
     cfg.estimate_z.  Returns (result, ctx)."""
     check_digests(digests)
-    t = _check_time(problem, t)
-    _check_tree(problem, cfg, t)
-    xv = _prepare_point(problem, x)
+    t, xv = _check_query(problem, cfg.depth, cfg.quad_order, t, x)
     B = digests.size
     ctx = _Ctx(problem, cfg, groups=B)
     need_z = cfg.estimate_z or ctx.uses_z
@@ -466,7 +461,9 @@ def estimate(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
              key: Optional[StreamKey] = None) -> Estimate:
     """Estimate at (t, x) with the scheme cfg.variant names; key overrides
     seed derivation."""
-    root = key if key is not None else StreamKey.from_seed(cfg.seed)
+    root = StreamKey.from_seed(cfg.seed) if key is None else key
+    if not isinstance(root, StreamKey):
+        raise TypeError(f"key must be a StreamKey, got {key!r}")
     res, ctx = _evaluate(problem, cfg, t, x,
                          np.array([root.digest], dtype=np.uint64))
     y, z, y_prev, z_prev = (None if v is None else v[0].copy() for v in res)

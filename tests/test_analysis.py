@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -193,8 +194,13 @@ def test_oracle_refusals():
     for bad in (1.5, 2.0, True, "2"):
         with pytest.raises(ValueError, match="depth"):
             deterministic_picard(p, bad, 4, 0.0, 0.0)
-    with pytest.raises(InvalidTimeError):
-        deterministic_picard(p, 2, 4, 1.0, 0.0)
+    # t = 1 - 2**-52 used to warn of a division by zero and then raise
+    # DegenerateIntervalError; warnings are errors here, so it must not warn
+    for t in (1.0, 1.0 - 2**-52, 1.0 - 1e-13):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidTimeError):
+                deterministic_picard(p, 2, 4, t, 0.0)
     # depth 0 used to return 0.0 for any quad_order
     for depth in (0, 1):
         for bad in (0, 65, 1.5, True, "4"):

@@ -306,6 +306,15 @@ def test_invalid_flag_values_are_config_errors(tmp_path, capsys):
                  "--out", str(tmp_path / "c.csv")]) == EXIT_CONFIG
     assert main(["solve", "--problem", "zero-gen", "--x", "0.1,0.2",
                  "--out", str(tmp_path / "d.csv")]) == EXIT_CONFIG
+    # a tree below the singularity floor used to be a failed cell (exit 1)
+    # with a header-only file
+    capsys.readouterr()
+    floor = tmp_path / "floor.csv"
+    assert main(["solve", "--problem", "linear-y", "--t", "0.99999999",
+                 "--depth", "3", "--quad-order", "64",
+                 "--out", str(floor)]) == EXIT_CONFIG
+    assert "singularity floor" in capsys.readouterr().err
+    assert not floor.exists()
     # an empty part of --x used to be dropped silently
     for x in ("0.1,,0.2", "0.3,"):
         assert main(["solve", "--problem", "zero-gen", "--depth", "1",

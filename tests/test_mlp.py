@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from mlpicard import (CostCounters, Estimate, InvalidTimeError, MlpConfig,
-                      NonFiniteIntegrandError, estimate, make_problem)
-from mlpicard import mlp, sampling
+                      NonFiniteIntegrandError, deterministic_picard, estimate,
+                      make_problem)
+from mlpicard import analysis, mlp, sampling
 from mlpicard.mlp import MAX_DEPTH, REPLICATION_LEVEL, run_batch
 from mlpicard.sampling import StreamKey, child_digests, child_key
 
@@ -245,17 +246,21 @@ def test_query_next_to_horizon_rejected():
 
 def test_tree_below_singularity_floor_rejected_before_sampling(monkeypatch):
     # Q = 64 puts the first node 3.5e-4 (T - s) after s, so a depth-4 tree
-    # reaches an interval of 1.5e-14; the refusal comes before any work
+    # reaches an interval of 1.5e-14; the refusal comes before any work,
+    # in the oracle too, which used to run such a tree for minutes
     p = make_problem("linear-y")
 
-    def no_sampling(*args):
+    def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the tree was checked")
 
     monkeypatch.setattr(mlp, "normal_block", no_sampling)
+    monkeypatch.setattr(analysis._Oracle, "convolve", no_sampling)
     for variant in ("modified", "original"):
         cfg = MlpConfig(variant, depth=4, base_samples=1, quad_order=64)
         with pytest.raises(InvalidTimeError):
             estimate(p, cfg, 0.0, 0.0)
+    with pytest.raises(InvalidTimeError):
+        deterministic_picard(p, 4, 64, 0.0, 0.0)
     monkeypatch.undo()
     # the bound is tight: a depth-1 tree spans 3.5e-4 (T - t), which is
     # 3.5e-12 at t = T - 1e-8 and 7e-13 at t = T - 2e-9
@@ -406,6 +411,10 @@ def test_run_batch_refuses_non_uint64_digests(monkeypatch):
     for bad in (np.array([1, 2]), np.array([1.0, 2.0]), [1, 2]):
         with pytest.raises(TypeError, match="uint64"):
             run_batch(p, cfg, 0.0, 0.0, bad)
+    # key=5 used to raise a bare AttributeError on its missing digest
+    for bad in (5, StreamKey.from_seed(5).digest):
+        with pytest.raises(TypeError, match="^key must be a StreamKey"):
+            estimate(p, cfg, 0.0, 0.0, key=bad)
     monkeypatch.undo()
     y, _, _, _ = run_batch(p, cfg, 0.0, 0.0, np.array([1, 2], dtype=np.uint64))
     assert y[0] != y[1]
