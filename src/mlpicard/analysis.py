@@ -11,7 +11,7 @@ constants, the three-term bias bound
 with C1 = max{2 (1 + 1/sqrt(M)), C_phi + C_0 T} and C2 the supremum over
 k >= 1 of (e^(1/3) sqrt(pi) / 2) C_f^(k-1) T^(2Q+k) / ((2Q+1)...(2Q+k)),
 plus the variance bound (C1 / sqrt(M)) exp(C_f sqrt(M) (T-t)).  The terms
-decay factorially in k, so the supremum is found by a finite scan.
+rise while C_f T > 2Q+k and fall after, so the supremum is one term.
 
 The oracle iterates the integral fixed-point map deterministically on a
 one-dimensional space grid: Gaussian expectations are Gauss-Legendre
@@ -57,7 +57,7 @@ from .mlp import (REPLICATION_LEVEL, CostCounters, InvalidTimeError,
                   run_batch, working_set)
 from .problems import BsdeProblem, ProblemBounds, _check_int
 from .quadrature import MAX_ORDER, build_rule
-from .sampling import StreamKey, child_digests
+from .sampling import MAX_REPLICA, StreamKey, child_digests
 
 MAX_ORACLE_DEPTH = 6
 MAX_SPACE_QUAD = 512  # oracle buffer: space_quad^2 x 64 floats, 128 MiB
@@ -125,21 +125,24 @@ def _product(*factors: float) -> float:
 
 
 def _c2_supremum(f_lip: float, horizon: float, q: int) -> float:
-    """sup_k C_f^(k-1) T^(2q+k) / ((2q+1)...(2q+k)), by term scanning.
-
-    Successive terms carry ratio C_f T / (2q+k+1), which eventually decays
-    like 1/k; the scan stops once terms underflow or fall far below the
-    running maximum on the decreasing tail, or once a term reaches inf.
-    """
-    term = _or_inf(pow, horizon, 2 * q + 1) / (2 * q + 1)
-    best = term
-    for k in range(2, 100_000):
-        term *= f_lip * horizon / (2 * q + k)
-        if term > best:
-            best = term
-        elif term < best * 1e-18 or term < 1e-300 or best == math.inf:
-            break
-    return (math.exp(1.0 / 3.0) * math.sqrt(math.pi) / 2.0) * best
+    """sup_k C_f^(k-1) T^(2q+k) / ((2q+1)...(2q+k)), k >= 1.  Term k is term
+    k-1 times C_f T / (2q+k), which falls in k: the peak is the last k where
+    that ratio exceeds 1, found in log space where term 1 underflows."""
+    rate, lead = f_lip * horizon, 2 * q
+    if rate == math.inf:
+        return math.inf
+    peak = max(1, math.ceil(rate) - lead - 1)  # last k with lead + k < rate
+    term = _or_inf(pow, horizon, lead + 1) / (lead + 1)
+    if term == 0.0 and peak > 1:
+        term = _or_inf(math.exp, (peak - 1) * math.log(f_lip)
+                       + (lead + peak) * math.log(horizon)
+                       - math.lgamma(lead + peak + 1) + math.lgamma(lead + 1))
+    else:
+        for k in range(2, peak + 1):
+            if term == math.inf:
+                break
+            term *= rate / (lead + k)
+    return (math.exp(1.0 / 3.0) * math.sqrt(math.pi) / 2.0) * term
 
 
 def theorem_bound(problem: BsdeProblem, cfg: MlpConfig, t: float) -> TheoremBound:
@@ -347,6 +350,23 @@ class RunStats:
     mean_z: Optional[np.ndarray]
 
 
+def _admit(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
+           replications: int, threads: Optional[int]):
+    """(t, x, R, workers, slices) of a run_replications call, or the
+    ValueError that refuses it, before any allocation or sampling."""
+    R = _check_int("replications", replications, 2, MAX_REPLICA)
+    threads = CORES if threads is None else _check_int("threads", threads, 1)
+    t, x = _check_query(problem, cfg.depth, cfg.quad_order, t, x)
+    row, call = working_set(problem, cfg)
+    if row + call > _SLICE_BYTES:
+        raise MemoryBudgetError(
+            f"one replication is predicted to hold {row + call} bytes, "
+            f"above the slice budget of {_SLICE_BYTES}")
+    workers = min(R, _SLICE_BYTES // (row + call), threads, CORES)
+    per_slice = (_SLICE_BYTES // workers - call) // row
+    return t, x, R, workers, min(R, workers * -(-R // (workers * per_slice)))
+
+
 def run_replications(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
                      replications: int,
                      threads: Optional[int] = None) -> RunStats:
@@ -363,25 +383,15 @@ def run_replications(problem: BsdeProblem, cfg: MlpConfig, t: float, x,
     reduced on its own, so slices move no bit, like batch size, chunk
     budget and sampling tile size.  If slices fail, the first failure in
     slice order is raised once every slice before it has finished, and
-    the slices not yet started are cancelled.  A replication
-    predicted to exceed the budget alone raises MemoryBudgetError before
-    any sampling.
+    the slices not yet started are cancelled.  R outside [2, 2^32] (the
+    replica field), a bad thread count or query, and a replication over
+    the budget alone (MemoryBudgetError) are refused before any
+    allocation.  The run holds about 50 bytes per replication besides.
     """
-    R = _check_int("replications", replications, 2)
-    threads = CORES if threads is None else _check_int("threads", threads, 1)
-    t, x = _check_query(problem, cfg.depth, cfg.quad_order, t, x)
+    t, x, R, workers, cuts = _admit(problem, cfg, t, x, replications, threads)
     root = np.array([StreamKey.from_seed(cfg.seed).digest], dtype=np.uint64)
     digests = child_digests(root, REPLICATION_LEVEL, 0, np.arange(R))[0]
-
-    row, call = working_set(problem, cfg)
-    if row + call > _SLICE_BYTES:
-        raise MemoryBudgetError(
-            f"one replication is predicted to hold {row + call} bytes, "
-            f"above the slice budget of {_SLICE_BYTES}")
-    workers = min(R, _SLICE_BYTES // (row + call), threads, CORES)
-    per_slice = (_SLICE_BYTES // workers - call) // row
-    slices = np.array_split(
-        digests, min(R, workers * -(-R // (workers * per_slice))))
+    slices = np.array_split(digests, cuts)
     run = partial(run_batch, problem, cfg, t, x)
     if workers == 1:
         parts = list(map(run, slices))

@@ -30,9 +30,9 @@ goes into one JSON document, with non-finite floats as the CSV's strings
 Exit codes: 0 all cells completed (validate: no declared bound was
 violated); 1 some cells failed (completed rows are still written,
 failures are enumerated on stderr), or validate found a declared bound
-violated; 2 bad config or usage, such as a cell whose recursion tree
-falls below the singularity floor, before any cell runs; 3 unknown
-problem name; 4 output could not be written.
+violated; 2 bad config or usage before any cell runs (a tree below the
+singularity floor, a replication over the memory budget, R > 2^32); 3
+unknown problem name; 4 output could not be written.
 """
 
 from __future__ import annotations
@@ -49,11 +49,10 @@ from typing import Optional, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .analysis import (MissingBoundsError, TheoremNotApplicableError,
+from .analysis import (MissingBoundsError, TheoremNotApplicableError, _admit,
                        deterministic_picard, run_replications, theorem_bound)
-from .mlp import MlpConfig, _check_query
-from .problems import (_check_int, make_problem, problem_names,
-                       validate_assumptions)
+from .mlp import MlpConfig
+from .problems import make_problem, problem_names, validate_assumptions
 
 SCHEMA_VERSION = 1
 
@@ -224,21 +223,6 @@ def _resolve(args, config: dict) -> Experiment:
     return Experiment(**values)
 
 
-def _build_experiment(args, config: dict):
-    """The experiment, its problem and one MlpConfig per grid cell, each
-    built once; any invalid value is a ValueError before a cell runs."""
-    exp = _resolve(args, config)
-    _check_int("replications", exp.replications, 2)
-    problem = exp.build_problem()
-    cells = [MlpConfig(variant=variant, depth=depth, base_samples=m,
-                       quad_order=q, seed=exp.seed, estimate_z=exp.estimate_z)
-             for variant, depth, m, q in product(
-                 exp.variants, exp.depths, exp.samples, exp.quad_orders)]
-    for cfg in cells:
-        _check_query(problem, cfg.depth, cfg.quad_order, exp.t, exp.x)
-    return exp, problem, cells
-
-
 def _run_cell(exp: Experiment, problem, cfg: MlpConfig,
               threads: Optional[int]) -> dict:
     start = time.perf_counter()
@@ -308,10 +292,15 @@ def _write_results(rows, exp: Experiment, out: Optional[str], fmt: str):
 
 
 def _cmd_experiment(args) -> int:
-    if args.threads is not None:  # inside a cell, 0 would fail every cell
-        _check_int("thread count", args.threads, 1)
     config = _load_config(args.config) if args.config else {}
-    exp, problem, cells = _build_experiment(args, config)
+    exp = _resolve(args, config)
+    problem = exp.build_problem()
+    cells = [MlpConfig(variant=variant, depth=depth, base_samples=m,
+                       quad_order=q, seed=exp.seed, estimate_z=exp.estimate_z)
+             for variant, depth, m, q in product(
+                 exp.variants, exp.depths, exp.samples, exp.quad_orders)]
+    for cfg in cells:  # run_replications' own refusals, before any cell runs
+        _admit(problem, cfg, exp.t, exp.x, exp.replications, args.threads)
     rows, failures = [], []
     for cfg in cells:
         try:

@@ -69,7 +69,7 @@ _MINUEND_SLOT = 1       # original: slot 1+2j at level l
 _SUBTRAHEND_SLOT = 2    # original: slot 2+2j at level l-1
 # Gaussian values per depth-0 chunk of whole rows.  It also sizes the
 # chunk's phi arguments and kernel products, so it stays well inside L2;
-# on the benchmark 2^14 to 2^17 time alike and 2^22 is slower.
+# 2^14 beats it on deep-d1 (3.87 s to 4.49 s), not z-sweep (4.17 to 3.41).
 _CHUNK_VALUES = 1 << 16
 _ROW_BLOCK = 1 << 12     # samples per fixed reduction block of one row
 # Working set of run_batch, fitted to the ru_maxrss growth of both schemes

@@ -152,10 +152,13 @@ def child_digests(digests: np.ndarray, level: int, slot: int,
     child_key(key_b, level, replicas[r], slot).
     """
     check_digests(digests)
-    reps = np.asarray(replicas, dtype=np.uint64)
-    if reps.size and (int(reps.max()) >= MAX_REPLICA):
+    reps = np.asarray(replicas)
+    if reps.dtype.kind not in "iu":  # a bool or a float aliases a neighbour
+        raise ValueError(f"replica indices must be integers, got {reps.dtype}")
+    if reps.size and not 0 <= int(reps.min()) <= int(reps.max()) < MAX_REPLICA:
         raise ValueError(f"replica indices must lie in [0, {MAX_REPLICA})")
-    packed = (np.uint64(_pack_triple(*_path_entry(level, 0, slot))) | reps)
+    packed = (np.uint64(_pack_triple(*_path_entry(level, 0, slot)))
+              | reps.astype(np.uint64))
     consts = _mix64_u64((packed * np.uint64(_GOLD)) ^ np.uint64(_CHILD_SALT))
     return _mix64_u64(digests[:, None] ^ consts[None, :])
 

@@ -158,6 +158,14 @@ def test_bound_terms_beyond_the_float_range_read_inf():
     assert zero.c2 == math.inf
     assert zero.quadrature_term == zero.picard_term == 0.0
     assert zero.bias_bound == zero.mc_term and math.isfinite(zero.bias_bound)
+    # terms that rise after a first term below the float range used to
+    # read 0.0: the supremum here is about 10^433346
+    assert analysis._c2_supremum(1e9, 1e-3, 64) == math.inf
+    base = make_problem("linear-y", alpha=0.5, horizon=1e-3)
+    steep = dataclasses.replace(base, bounds=dataclasses.replace(
+        base.bounds, f_lipschitz=1e9))
+    tb = theorem_bound(steep, MlpConfig("modified", 1, 4, 64), 0.0)
+    assert tb.c2 == tb.quadrature_term == math.inf
 
 
 def test_error_bound_matches_factorial_formula():
@@ -422,7 +430,7 @@ def test_oracle_non_finite_generator_raises():
 
 # --- run_replications ---------------------------------------------------
 
-def test_replications_validation():
+def test_replications_validation(monkeypatch):
     p = make_problem("zero-gen")
     cfg = MlpConfig("modified", 1, 4, 2)
     # 2.9 used to run 2 replications and "3" to run 3
@@ -435,6 +443,15 @@ def test_replications_validation():
     assert (run_replications(p, cfg, 0.0, 0.0, np.int64(4),
                              threads=np.int64(1))
             == run_replications(p, cfg, 0.0, 0.0, 4))
+
+    # 2**32 + 1 replicas overflow the stream's replica field; they used to
+    # allocate 8 bytes each before that was found
+    def no_stream(seed):
+        raise AssertionError("a stream was derived")
+
+    monkeypatch.setattr(analysis.StreamKey, "from_seed", no_stream)
+    with pytest.raises(ValueError, match="replications"):
+        run_replications(p, cfg, 0.0, 0.0, 2**32 + 1)
 
 
 def test_replications_refuse_non_real_query_before_sampling(monkeypatch):

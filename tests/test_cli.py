@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from mlpicard import analysis
 from mlpicard.cli import (COLUMNS, EXIT_CONFIG, EXIT_IO, EXIT_OK,
                           EXIT_UNKNOWN_PROBLEM, SCHEMA_VERSION, main)
 
@@ -239,6 +240,18 @@ def test_config_error_exit_codes(tmp_path, capsys):
         "schema_version": SCHEMA_VERSION, "depths": [1],
         "replications": 1}, name="reps.json")
     assert main(["sweep", "--config", bad_reps]) == EXIT_CONFIG
+    capsys.readouterr()
+    for payload, message in (
+            ({"depths": []}, "'depths' must be a non-empty list"),
+            (None, "cannot read config"),
+            ([1, 2], "config root must be a JSON object"),
+            ({"overrides": [1]}, "'overrides' must be an object"),
+            ({"overrides": {"dims": 2}}, "unknown override keys: dims")):
+        path = (str(tmp_path / "missing.json") if payload is None
+                else write_config(tmp_path, payload, name="shape.json"))
+        assert main(["sweep", "--problem", "zero-gen",
+                     "--config", path]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
 
 def test_unwritable_output_exit_code(tmp_path):
@@ -297,7 +310,8 @@ def test_oracle_rejects_non_finite_point(capsys):
     assert "finite" in capsys.readouterr().err
 
 
-def test_invalid_flag_values_are_config_errors(tmp_path, capsys):
+def test_invalid_flag_values_are_config_errors(tmp_path, capsys,
+                                               monkeypatch):
     assert main(["solve", "--problem", "zero-gen", "--depth", "99",
                  "--out", str(tmp_path / "a.csv")]) == EXIT_CONFIG
     assert main(["solve", "--problem", "zero-gen", "--replications", "1",
@@ -334,6 +348,19 @@ def test_invalid_flag_values_are_config_errors(tmp_path, capsys):
         assert rc == EXIT_CONFIG, threads
         assert "thread" in capsys.readouterr().err, threads
         assert not out.exists(), threads
+
+    # more replicas than the stream's replica field holds used to run the
+    # cell, allocating 8 bytes per replica before the field refused them
+    def no_stream(seed):
+        raise AssertionError("a stream was derived")
+
+    monkeypatch.setattr(analysis.StreamKey, "from_seed", no_stream)
+    out = tmp_path / "reps.csv"
+    assert main(["solve", "--problem", "zero-gen", "--depth", "1",
+                 "--replications", "4294967297",
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "replications" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [

@@ -67,6 +67,11 @@ def test_bools_and_non_integers_refused():
     for level, slot in ((True, 0), (0, True)):
         with pytest.raises(ValueError, match="bool"):
             child_digests(dig, level, slot, np.arange(2))
+    # replicas [1.5] and [True] used to give replica 1's digest, and [-1]
+    # a bare OverflowError
+    for replicas in ([1.5], [True], np.array([2.0]), [-1], np.array([0, -3])):
+        with pytest.raises(ValueError, match="replica indices"):
+            child_digests(dig, 0, 0, replicas)
     # offset=0.5 used to give the offset-0 window and offset=True offset 1
     for name, bad in [("offset", 0.5), ("offset", 1.0), ("offset", True),
                       ("count", 2.0), ("count", True)]:

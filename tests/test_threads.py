@@ -21,7 +21,7 @@ import pytest
 from mlpicard import (MemoryBudgetError, MlpConfig, NonFiniteIntegrandError,
                       analysis, make_problem, mlp, run_replications)
 from mlpicard.analysis import CORES
-from mlpicard.cli import EXIT_OK, EXIT_PARTIAL, main
+from mlpicard.cli import EXIT_CONFIG, EXIT_OK, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -184,10 +184,13 @@ def test_replication_over_budget_refused_before_sampling(tmp_path,
     monkeypatch.setattr(mlp, "normal_block", no_sampling)
     with pytest.raises(MemoryBudgetError):
         run_replications(p, cfg, 0.0, 0.0, 2)
+    # the CLI refuses the cell before any cell runs; it used to run the
+    # other cells and fail this one with exit 1
+    out = tmp_path / "out.csv"
     assert main(["solve", "--problem", "bounded-nonlinear", "--dim", "100",
                  "--depth", "5", "--samples", "16", "--quad-order", "2",
-                 "--replications", "2",
-                 "--out", str(tmp_path / "out.csv")]) == EXIT_PARTIAL
+                 "--replications", "2", "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 _SPAWN = ("import subprocess, sys; "
